@@ -13,6 +13,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .linalg import HermitianMatrix, as_matrix, commutator
-from .measures import amplitude_vector, skew_information, variance
+from .linalg import HermitianMatrix
+from .measures import NEGATIVE_CLAMP, amplitude_vector
 from .states import DensityMatrix, coerce_density
 
 DEFAULT_BUDGET = 10**6
@@ -232,12 +233,112 @@ def _coerce(rho, observables) -> tuple[DensityMatrix, ObservableSet]:
     return state, obs
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j, in ``ObservableSet.pairs`` order."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str):
+    """(diagonal, m_ii + m_jj + 2 m_ij, m_ii + m_jj - 2 m_ij, sum of all entries)
+    of a correlation matrix, the middle two over :func:`_pairs`.
+
+    Each form goes through the ``NEGATIVE_CLAMP`` rule of
+    :func:`measures.variance`: round-off below zero snaps to 0, anything
+    below ``NEGATIVE_CLAMP * max(1, s)`` raises, where s is the matching sum
+    of diagonal entries of ``scale`` (N times its trace for the total).
+    """
+    n = m.shape[0]
+    i, j = _pairs(n)
+    p = i.shape[0]
+    diag = np.diagonal(m)
+    scale_diag = np.diagonal(scale)
+    pair_scale = scale_diag[i] + scale_diag[j]
+    cross = 2.0 * m[i, j]
+    forms = np.concatenate((diag, diag[i] + diag[j] + cross, diag[i] + diag[j] - cross, [m.sum()]))
+    scales = np.concatenate((scale_diag, pair_scale, pair_scale, [n * scale_diag.sum()]))
+    bad = forms < NEGATIVE_CLAMP * np.maximum(1.0, np.abs(scales))
+    if bad.any():
+        raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
+    forms = np.where(forms < 0.0, 0.0, forms)
+    return forms[:n], forms[n : n + p], forms[n + p : n + 2 * p], float(forms[-1])
+
+
+class InstanceData:
+    """Everything the catalog needs from one (state, observables) pair,
+    computed once; every bound is a short formula over it.
+
+    * ``means``: <A_i>; ``moments``: tr(rho A_i A_j), complex;
+    * ``cov``: the covariance matrix C_ij = Re tr(rho A_i A_j) - <A_i><A_j>;
+    * ``skew_corr``: the Wigner-Yanase correlation matrix
+      K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>;
+    * ``amplitudes``: the (N, d) stack of amplitude vectors.
+
+    Variance and skew information are quadratic forms, so
+    Var(A_i +- A_j) = C_ii + C_jj +- 2 C_ij, I(A_i +- A_j) = K_ii + K_jj +- 2 K_ij,
+    and Var(sum A), I(sum A) sum every entry of C, K. :func:`_quadratic_forms`
+    precomputes them as ``variances``, ``var_plus``, ``var_minus``,
+    ``var_total`` and ``skews``, ``skew_plus``, ``skew_minus``, ``skew_total``;
+    variance forms are clamped against Re tr(rho A_i A_j), skew forms against K.
+    """
+
+    __slots__ = (
+        "n", "means", "moments", "cov", "skew_corr", "amplitudes",
+        "variances", "var_plus", "var_minus", "var_total",
+        "skews", "skew_plus", "skew_minus", "skew_total",
+    )
+
+    def __init__(self, rho, observables):
+        state, obs = _coerce(rho, observables)
+        n = self.n = obs.n
+        a = np.stack([o.mat for o in obs])
+        ra = state.mat @ a
+        self.means = np.trace(ra, axis1=1, axis2=2).real
+        # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
+        self.moments = ra.reshape(n, -1) @ a.reshape(n, -1).conj().T
+        second = self.moments.real
+        self.cov = second - np.outer(self.means, self.means)
+        root = state.sqrt().mat
+        comm = (root @ a - a @ root).reshape(n, -1).view(np.float64)
+        self.skew_corr = 0.5 * (comm @ comm.T)
+        (self.variances, self.var_plus, self.var_minus,
+         self.var_total) = _quadratic_forms(self.cov, second, "variance")
+        (self.skews, self.skew_plus, self.skew_minus,
+         self.skew_total) = _quadratic_forms(self.skew_corr, self.skew_corr, "skew information")
+        self.amplitudes = np.stack([amplitude_vector(state, o) for o in obs])
+
+
+def _data(rho, observables, data: InstanceData | None) -> InstanceData:
+    return data if data is not None else InstanceData(rho, observables)
+
+
+def _check_budget(obs: ObservableSet, budget: int):
+    tuples = math.factorial(obs.dim) ** (obs.n - 1)
+    if tuples > budget:
+        raise BudgetExceededError(tuples, budget)
+
+
+def _root_sum_sq(values: np.ndarray) -> float:
+    """(sum_k sqrt(values_k))^2."""
+    root = float(np.sqrt(values).sum())
+    return root * root
+
+
 # ---------------------------------------------------------------------------
 # variance-family bounds
+#
+# Each bound takes (rho, observables) and builds the instance data itself,
+# unless a prebuilt ``data`` for the same instance is passed, as
+# ``evaluate_all`` does.
 # ---------------------------------------------------------------------------
 
 
-def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
+def bound_theorem1(
+    rho, observables, budget: int = DEFAULT_BUDGET, *, data: InstanceData | None = None
+) -> BoundValue:
     """Permutation-maximized amplitude-vector bound on the variance sum.
 
     For amplitude vectors a_i of each observable, maximizes
@@ -247,18 +348,14 @@ def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue
 
     over one eigenvalue-position permutation per observable (the first is
     pinned to the identity, which loses nothing). The search is exhaustive;
-    (d!)^(N-1) above ``budget`` raises :class:`BudgetExceededError`. The
-    returned detail is the maximizing :class:`PermutationTuple`, ties broken
-    lexicographically.
+    (d!)^(N-1) above ``budget`` raises :class:`BudgetExceededError` before
+    anything is computed. The returned detail is the maximizing
+    :class:`PermutationTuple`, ties broken lexicographically.
     """
     state, obs = _coerce(rho, observables)
+    _check_budget(obs, budget)
     n, d = obs.n, obs.dim
-    tuples = math.factorial(d) ** (n - 1)
-    if tuples > budget:
-        raise BudgetExceededError(tuples, budget)
-
-    avs = np.stack([amplitude_vector(state, a) for a in obs])
-    perms, args = scan_inputs(avs)
+    perms, args = scan_inputs(_data(state, obs, data).amplitudes)
     best, sel = _kernels.theorem1_scan(*args)
     nperm = perms.shape[0]
     digits = []
@@ -311,20 +408,16 @@ def scan_inputs(avs: np.ndarray):
     return perms, args
 
 
-def bound_song(rho, observables) -> BoundValue:
+def bound_song(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Variance bound (1/N) * ( (Delta sum A)^2
     + (2 / (N (N - 1))) * (sum_{i<j} Delta(A_i - A_j))^2 )."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    total_var = variance(state, obs.total())
-    root_sum = sum(
-        math.sqrt(variance(state, obs[i] - obs[j])) for i, j in obs.pairs()
-    )
-    val = (total_var + 2.0 / (n * (n - 1.0)) * root_sum * root_sum) / n
+    q = _data(rho, observables, data)
+    n = q.n
+    val = (q.var_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.var_minus)) / n
     return BoundValue("song", val)
 
 
-def bound_chen_variance(rho, observables) -> BoundValue:
+def bound_chen_variance(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Variance bound built from ascending-sorted amplitude vectors.
 
     With b_i the sorted amplitude vector of A_i and the step h = 1 at N = 2,
@@ -333,44 +426,38 @@ def bound_chen_variance(rho, observables) -> BoundValue:
         (1 / (2^h N - 2)) * ( sum_{i<j} ||b_i + b_j||^2
                               + ((h - 1) / (N - 1)^2) * (sum_{i<j} ||b_i + b_j||)^2 )
     """
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    sorted_amps = [np.sort(amplitude_vector(state, a)) for a in obs]
-    sq_total = 0.0
-    root_total = 0.0
-    for i, j in obs.pairs():
-        s = sorted_amps[i] + sorted_amps[j]
-        k2 = float(s @ s)
-        sq_total += k2
-        root_total += math.sqrt(k2)
+    q = _data(rho, observables, data)
+    n = q.n
+    b = np.sort(q.amplitudes, axis=1)
+    i, j = _pairs(n)
+    s = b[i] + b[j]
+    sq_norms = np.einsum("pk,pk->p", s, s)
     h = 1.0 if n == 2 else 0.0
     pref = 1.0 / (2.0**h * n - 2.0)
     coef = (h - 1.0) / (n - 1.0) ** 2
-    val = pref * (sq_total + coef * root_total * root_total)
+    val = pref * (float(sq_norms.sum()) + coef * _root_sum_sq(sq_norms))
     return BoundValue("chen_variance", val)
 
 
-def bound_mp_quadratic(rho, observables) -> BoundValue:
+def bound_mp_quadratic(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
-    state, obs = _coerce(rho, observables)
-    if obs.n != 2:
+    q = _data(rho, observables, data)
+    if q.n != 2:
         return BoundValue("mp_quadratic", None, applicable=False)
-    val = 0.5 * variance(state, obs[0] + obs[1])
-    return BoundValue("mp_quadratic", val)
+    return BoundValue("mp_quadratic", 0.5 * float(q.var_plus[0]))
 
 
-def bound_robertson(rho, observables) -> BoundValue:
+def bound_robertson(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Product bound Delta A * Delta B >= (1/2) |tr(rho [A, B])|.
 
     The detail carries the product it bounds, since the target is not the
     variance sum.
     """
-    state, obs = _coerce(rho, observables)
-    if obs.n != 2:
+    q = _data(rho, observables, data)
+    if q.n != 2:
         return BoundValue("robertson", None, applicable=False)
-    comm = commutator(obs[0], obs[1])
-    val = 0.5 * abs(complex(np.einsum("ij,ji->", state.mat, comm)))
-    product = math.sqrt(variance(state, obs[0])) * math.sqrt(variance(state, obs[1]))
+    val = 0.5 * abs(complex(q.moments[0, 1] - q.moments[1, 0]))
+    product = math.sqrt(q.variances[0]) * math.sqrt(q.variances[1])
     return BoundValue("robertson", val, detail={"delta_product": product})
 
 
@@ -379,78 +466,58 @@ def bound_robertson(rho, observables) -> BoundValue:
 # ---------------------------------------------------------------------------
 
 
-def bound_theorem2a(rho, observables) -> BoundValue:
+def bound_theorem2a(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i + A_j)))^2
     + sum_{i<j} I(A_i - A_j) )."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    roots = 0.0
-    diffs = 0.0
-    for i, j in obs.pairs():
-        roots += math.sqrt(skew_information(state, obs[i] + obs[j]))
-        diffs += skew_information(state, obs[i] - obs[j])
-    val = (2.0 / (n * (n - 1.0)) * roots * roots + diffs) / (2.0 * n - 2.0)
+    q = _data(rho, observables, data)
+    n = q.n
+    val = (
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + float(q.skew_minus.sum())
+    ) / (2.0 * n - 2.0)
     return BoundValue("theorem2a", val)
 
 
-def bound_theorem2b(rho, observables) -> BoundValue:
+def bound_theorem2b(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2
     + sum_{i<j} I(A_i + A_j) )."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    roots = 0.0
-    sums = 0.0
-    for i, j in obs.pairs():
-        roots += math.sqrt(skew_information(state, obs[i] - obs[j]))
-        sums += skew_information(state, obs[i] + obs[j])
-    val = (2.0 / (n * (n - 1.0)) * roots * roots + sums) / (2.0 * n - 2.0)
+    q = _data(rho, observables, data)
+    n = q.n
+    val = (
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + float(q.skew_plus.sum())
+    ) / (2.0 * n - 2.0)
     return BoundValue("theorem2b", val)
 
 
-def bound_zhang(rho, observables) -> BoundValue:
+def bound_zhang(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1/N) * ( I(sum A)
     + (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2 )."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    total = skew_information(state, obs.total())
-    roots = sum(
-        math.sqrt(skew_information(state, obs[i] - obs[j])) for i, j in obs.pairs()
-    )
-    val = (total + 2.0 / (n * (n - 1.0)) * roots * roots) / n
+    q = _data(rho, observables, data)
+    n = q.n
+    val = (q.skew_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus)) / n
     return BoundValue("zhang", val)
 
 
-def bound_chen_skew(rho, observables) -> BoundValue:
+def bound_chen_skew(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
     - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
+    q = _data(rho, observables, data)
+    n = q.n
     if n < 3:
         return BoundValue("chen_skew", None, applicable=False)
-    sums = 0.0
-    roots = 0.0
-    for i, j in obs.pairs():
-        s = skew_information(state, obs[i] + obs[j])
-        sums += s
-        roots += math.sqrt(s)
-    val = (sums - roots * roots / (n - 1.0) ** 2) / (n - 2.0)
+    val = (float(q.skew_plus.sum()) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
     return BoundValue("chen_skew", val)
 
 
-def bound_parallelogram_sum(rho, observables) -> BoundValue:
+def bound_parallelogram_sum(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    total = sum(skew_information(state, obs[i] + obs[j]) for i, j in obs.pairs())
-    return BoundValue("parallelogram_sum", total / (2.0 * n - 2.0))
+    q = _data(rho, observables, data)
+    return BoundValue("parallelogram_sum", float(q.skew_plus.sum()) / (2.0 * q.n - 2.0))
 
 
-def bound_parallelogram_diff(rho, observables) -> BoundValue:
+def bound_parallelogram_diff(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i - A_j)."""
-    state, obs = _coerce(rho, observables)
-    n = obs.n
-    total = sum(skew_information(state, obs[i] - obs[j]) for i, j in obs.pairs())
-    return BoundValue("parallelogram_diff", total / (2.0 * n - 2.0))
+    q = _data(rho, observables, data)
+    return BoundValue("parallelogram_diff", float(q.skew_minus.sum()) / (2.0 * q.n - 2.0))
 
 
 _BOUND_FUNCS = {
@@ -488,23 +555,35 @@ def evaluate_all(
 ) -> BoundReport:
     """Evaluate the full bound catalog and assemble a :class:`BoundReport`.
 
-    A bound is flagged as a violation when its value exceeds its target by
-    more than ``tolerance * max(1, target)``; with correct arithmetic that
-    never happens, so the violations list doubles as a numerical check.
-    Tightest bounds are the largest applicable value per family, ties going
-    to the earlier catalog entry.
+    The Theorem-1 budget is checked first; then the instance data is built
+    once and every bound is a formula over it. A bound is flagged as a
+    violation when its value exceeds its target by more than
+    ``tolerance * max(1, target)``; with correct arithmetic that never
+    happens, so the violations list doubles as a numerical check. A
+    non-finite sum, bound or target raises ``ValueError`` rather than
+    passing that check. Tightest bounds are the largest applicable value
+    per family, ties going to the earlier catalog entry.
     """
     state, obs = _coerce(rho, observables)
-    variance_sum = float(sum(variance(state, a) for a in obs))
-    skew_sum = float(sum(skew_information(state, a) for a in obs))
+    _check_budget(obs, budget)
+    # float64 overflow is reported by the finiteness checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = InstanceData(state, obs)
+        values = []
+        for name in CATALOG:
+            func = _BOUND_FUNCS[name]
+            if name == "theorem1":
+                values.append(func(state, obs, budget=budget, data=data))
+            else:
+                values.append(func(state, obs, data=data))
 
-    values = []
-    for name in CATALOG:
-        func = _BOUND_FUNCS[name]
-        if name == "theorem1":
-            values.append(func(state, obs, budget=budget))
-        else:
-            values.append(func(state, obs))
+    variance_sum = float(data.variances.sum())
+    skew_sum = float(data.skews.sum())
+    if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
+        raise ValueError(
+            f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
+            "float64 overflow, the observables' entries are too large"
+        )
 
     violations = []
     for b in values:
@@ -516,6 +595,8 @@ def evaluate_all(
             target = skew_sum
         else:
             target = b.detail["delta_product"]
+        if not (math.isfinite(b.value) and math.isfinite(target)):
+            raise ValueError(f"bound {b.name} is not finite: {b.value!r} against {target!r}")
         if b.value > target + tolerance * max(1.0, target):
             violations.append(b.name)
 

@@ -195,13 +195,16 @@ def cmd_evaluate(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else float(
         _number_field(data, "tolerance", DEFAULT_TOLERANCE, "tolerance")
     )
-    report = evaluate_all(
-        state,
-        obs,
-        budget=budget,
-        tolerance=tolerance,
-        metadata={"dim": state.dim, "n": obs.n},
-    )
+    try:
+        report = evaluate_all(
+            state,
+            obs,
+            budget=budget,
+            tolerance=tolerance,
+            metadata={"dim": state.dim, "n": obs.n},
+        )
+    except (LinalgError, ValueError) as exc:
+        raise CliInputError(str(exc)) from exc
 
     if args.format == "csv":
         if args.output is None:

@@ -65,10 +65,12 @@ class HermitianMatrix:
     """A validated, immutable complex Hermitian matrix.
 
     Construction checks the conjugate-transpose deviation against ``atol``
-    and stores the hermitized average ``(M + M^dag) / 2``.
+    and stores the hermitized average ``(M + M^dag) / 2``. The eigensystem
+    is computed on first use and cached; the matrix never changes, so the
+    cache never goes stale.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_eigen")
 
     def __init__(self, mat, atol: float = HERMITIAN_ATOL):
         m = np.array(mat, dtype=np.complex128)
@@ -82,10 +84,18 @@ class HermitianMatrix:
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         self.mat = m
+        self._eigen = None
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def eigensystem(self) -> EigenSystem:
+        """``hermitian_eig(self)``, solved once per matrix."""
+        if self._eigen is None:
+            self._eigen = hermitian_eig(self)
+        return self._eigen
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.mat, dtype=dtype)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, frobenius_norm_sq, hermitian_eig
+from .linalg import HermitianMatrix, as_matrix, commutator, frobenius_norm_sq, hermitian_eig
 from .states import DensityMatrix, coerce_density
 
 # mild round-off below zero is clamped; anything worse is a real error
@@ -61,7 +61,8 @@ def amplitude_vector(rho, obs) -> np.ndarray:
     (u_k, |u_k>) of the observable.
     """
     state, a = _state_and_obs(rho, obs)
-    eig = hermitian_eig(a)
+    # a HermitianMatrix solves once and keeps the result; a bare array is solved here
+    eig = obs.eigensystem if isinstance(obs, HermitianMatrix) else hermitian_eig(a)
     mean = float(np.einsum("ij,ji->", state.mat, a).real)
     # probabilities of the observable's eigenvectors in the state
     probs = np.einsum("ik,ij,jk->k", eig.vectors.conj(), state.mat, eig.vectors).real

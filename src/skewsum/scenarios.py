@@ -40,6 +40,12 @@ for _m in (L_X, L_Y, L_Z):
     _m.setflags(write=False)
 del _m
 
+# shared by every point of a sweep, so each observable's eigensystem is
+# solved once per process (it is cached on the HermitianMatrix)
+EXAMPLE1_OBSERVABLES = ObservableSet([-SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_OBSERVABLES = ObservableSet([SIGMA_X, SIGMA_Y, SIGMA_Z])
+SPIN1_OBSERVABLES = ObservableSet([L_X, L_Y, L_Z])
+
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     value = float(value)
@@ -56,15 +62,14 @@ def example1_instance(theta: float, phi: float = math.pi / 4):
         np.exp(1j * phi) * math.sin(theta / 2.0),
         math.cos(theta / 2.0),
     ]
-    obs = ObservableSet([-SIGMA_X, SIGMA_Y, SIGMA_Z])
-    return pure_state(amps), obs
+    return pure_state(amps), EXAMPLE1_OBSERVABLES
 
 
 def example2_instance(theta: float):
     """Bloch-circle mixed-qubit scenario; returns (state, observables)."""
     r = math.sqrt(3.0) / 2.0
     state = from_bloch(BlochVector(r * math.cos(theta), r * math.sin(theta), 0.0))
-    return state, ObservableSet([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    return state, PAULI_OBSERVABLES
 
 
 def example2_skew_oracle(theta: float) -> dict:
@@ -98,7 +103,7 @@ def example3_instance(theta: float, phi: float = math.pi / 2):
         math.sin(theta) * math.sin(phi),
         math.cos(theta),
     ]
-    return pure_state(amps), ObservableSet([L_X, L_Y, L_Z])
+    return pure_state(amps), SPIN1_OBSERVABLES
 
 
 def example3_sum_oracle(theta: float, phi: float) -> float:

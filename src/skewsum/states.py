@@ -14,7 +14,6 @@ from .linalg import (
     HermitianMatrix,
     NotPositiveSemidefiniteError,
     as_matrix,
-    hermitian_eig,
 )
 from .rng import SplitMix64
 
@@ -55,23 +54,22 @@ class DensityMatrix:
 
     Construction requires a Hermitian matrix with unit trace (within
     ``TRACE_ATOL``) and eigenvalues above ``PSD_EIG_FLOOR``. The
-    eigendecomposition runs once, up front, and feeds both validation and
-    the cached principal square root used by skew-information evaluations.
+    eigendecomposition, cached on the underlying :class:`HermitianMatrix`,
+    runs once, up front, and feeds both validation and the cached principal
+    square root used by skew-information evaluations.
     """
 
-    __slots__ = ("hermitian", "_eigen", "_sqrt")
+    __slots__ = ("hermitian", "_sqrt")
 
     def __init__(self, mat):
         h = mat if isinstance(mat, HermitianMatrix) else HermitianMatrix(mat)
         trace = float(np.trace(h.mat).real)
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
-        eig = hermitian_eig(h)
-        lo = float(eig.values[0])
+        lo = float(h.eigensystem.values[0])
         if lo < PSD_EIG_FLOOR:
             raise NotPositiveSemidefiniteError(lo)
         self.hermitian = h
-        self._eigen = eig
         self._sqrt = None
 
     @property
@@ -84,20 +82,21 @@ class DensityMatrix:
 
     @property
     def eigensystem(self) -> EigenSystem:
-        return self._eigen
+        return self.hermitian.eigensystem
 
     def sqrt(self) -> HermitianMatrix:
         """Principal square root, computed once from the cached eigensystem."""
         if self._sqrt is None:
-            w = np.where(self._eigen.values < ZERO_EIG_SNAP, 0.0, self._eigen.values)
-            v = self._eigen.vectors
+            eig = self.eigensystem
+            w = np.where(eig.values < ZERO_EIG_SNAP, 0.0, eig.values)
+            v = eig.vectors
             root = (v * np.sqrt(w)) @ v.conj().T
             root = (root + root.conj().T) / 2.0
             self._sqrt = HermitianMatrix(root)
         return self._sqrt
 
     def purity(self) -> float:
-        return float(np.sum(self._eigen.values**2))
+        return float(np.sum(self.eigensystem.values**2))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.mat, dtype=dtype)

@@ -1,10 +1,12 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from skewsum import _kernels
 from skewsum.bounds import (
     CATALOG,
     FAMILY,
@@ -25,9 +27,11 @@ from skewsum.bounds import (
     bound_theorem2b,
     bound_zhang,
     evaluate_all,
+    scan_inputs,
 )
+from skewsum.linalg import commutator
 from skewsum.measures import amplitude_vector, skew_information, variance
-from skewsum.scenarios import example1_instance, example2_instance
+from skewsum.scenarios import example1_instance, example2_instance, example3_instance
 from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state
 
 EX1_POINT = (math.pi / 2, math.pi / 4)
@@ -331,3 +335,128 @@ class TestEvaluateAll:
         bv = BoundValue("theorem1", 1.5, True, PermutationTuple(((0, 1), (1, 0))))
         clone = BoundValue.from_dict(bv.to_dict())
         assert clone == bv
+
+    def test_standalone_bounds_match_the_report(self, make_instance):
+        funcs = {
+            "theorem1": bound_theorem1,
+            "song": bound_song,
+            "chen_variance": bound_chen_variance,
+            "mp_quadratic": bound_mp_quadratic,
+            "robertson": bound_robertson,
+            "theorem2a": bound_theorem2a,
+            "theorem2b": bound_theorem2b,
+            "zhang": bound_zhang,
+            "chen_skew": bound_chen_skew,
+            "parallelogram_sum": bound_parallelogram_sum,
+            "parallelogram_diff": bound_parallelogram_diff,
+        }
+        for n in (2, 3):
+            state, obs = make_instance(3, n, 15)
+            report = evaluate_all(state, obs)
+            for name, func in funcs.items():
+                assert func(state, obs) == report.bound(name), name
+
+    def test_non_finite_values_raise(self):
+        # entries near 1e200 overflow the second moments to inf/NaN; such a
+        # report used to come back with no violations, since NaN > x is false
+        state = pure_state([1, 1])
+        obs = [
+            np.array([[1e200, 2e200], [2e200, -1e200]]),
+            np.array([[0, -3e200j], [3e200j, 0]]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError is the only signal
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_all(state, obs)
+
+
+def _pairwise_reference(state, obs):
+    """Every report number from the explicit pairwise formulas: A_i +- A_j
+    built as matrices and measured one by one, on bare arrays so that no
+    cached eigensystem is reused."""
+    mats = [np.array(a) for a in obs]
+    n = len(mats)
+    pairs = list(itertools.combinations(range(n), 2))
+    var_minus = [variance(state, mats[i] - mats[j]) for i, j in pairs]
+    skew_plus = [skew_information(state, mats[i] + mats[j]) for i, j in pairs]
+    skew_minus = [skew_information(state, mats[i] - mats[j]) for i, j in pairs]
+    c = 2.0 / (n * (n - 1.0))
+    amps = np.stack([amplitude_vector(state, m) for m in mats])
+    _, args = scan_inputs(amps)
+    sorted_amps = np.sort(amps, axis=1)
+    chen_norms = [float(np.sum((sorted_amps[i] + sorted_amps[j]) ** 2)) for i, j in pairs]
+    h = 1.0 if n == 2 else 0.0
+    ref = {
+        "variance_sum": sum(variance(state, m) for m in mats),
+        "skew_sum": sum(skew_information(state, m) for m in mats),
+        "theorem1": float(_kernels.theorem1_scan(*args)[0]),
+        "song": (variance(state, sum(mats)) + c * sum(map(math.sqrt, var_minus)) ** 2) / n,
+        "chen_variance": (
+            sum(chen_norms) + (h - 1.0) / (n - 1.0) ** 2 * sum(map(math.sqrt, chen_norms)) ** 2
+        ) / (2.0**h * n - 2.0),
+        "theorem2a": (c * sum(map(math.sqrt, skew_plus)) ** 2 + sum(skew_minus)) / (2 * n - 2),
+        "theorem2b": (c * sum(map(math.sqrt, skew_minus)) ** 2 + sum(skew_plus)) / (2 * n - 2),
+        "zhang": (skew_information(state, sum(mats)) + c * sum(map(math.sqrt, skew_minus)) ** 2) / n,
+        "parallelogram_sum": sum(skew_plus) / (2 * n - 2),
+        "parallelogram_diff": sum(skew_minus) / (2 * n - 2),
+    }
+    if n == 2:
+        ref["mp_quadratic"] = 0.5 * variance(state, mats[0] + mats[1])
+        ref["robertson"] = 0.5 * abs(complex(np.trace(state.mat @ commutator(*mats))))
+        ref["delta_product"] = math.sqrt(variance(state, mats[0])) * math.sqrt(
+            variance(state, mats[1])
+        )
+    else:
+        ref["chen_skew"] = (
+            sum(skew_plus) - sum(map(math.sqrt, skew_plus)) ** 2 / (n - 1.0) ** 2
+        ) / (n - 2.0)
+    return ref
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matches_pairwise_formulas(make_instance, dim, n):
+    for trial in range(4):
+        state, obs = make_instance(dim, n, 900 + trial)
+        report = evaluate_all(state, obs)
+        got = {"variance_sum": report.variance_sum, "skew_sum": report.skew_sum}
+        for b in report.bounds:
+            if b.applicable:
+                got[b.name] = b.value
+        if n == 2:
+            got["delta_product"] = report.bound("robertson").detail["delta_product"]
+        ref = _pairwise_reference(state, obs)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+class TestComputeOnce:
+    """Each observable is eigendecomposed once per instance (and once per
+    process for the shared scenario observables)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        jacobi = _kernels.jacobi_sweeps
+
+        def counting(*args):
+            count[0] += 1
+            return jacobi(*args)
+
+        monkeypatch.setattr(_kernels, "jacobi_sweeps", counting)
+        return count
+
+    @pytest.mark.parametrize("dim,n", [(3, 2), (3, 3), (4, 4)])
+    def test_fresh_instance_solves_each_observable_once(self, make_instance, solves, dim, n):
+        state, obs = make_instance(dim, n, 1000)
+        solves[0] = 0  # the state's solve happened at construction
+        evaluate_all(state, obs)
+        assert solves[0] == n
+
+    def test_sweep_point_solves_only_the_state(self, solves):
+        evaluate_all(*example3_instance(0.3))
+        for theta in (0.5, 1.0, 2.5):
+            solves[0] = 0
+            evaluate_all(*example3_instance(theta))
+            assert solves[0] == 1

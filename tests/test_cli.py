@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from skewsum import cli
 from skewsum.bounds import BoundReport, BoundValue
+from skewsum.linalg import EigenConvergenceError
 
 PAULI_PROBLEM = {
     "state": {"kind": "pure", "amplitudes": [1, 0]},
@@ -125,6 +127,42 @@ class TestEvaluate:
         rc = cli.main(["evaluate", "--input", _write_problem(tmp_path, data), "--budget", "10"])
         assert rc == 1
         assert "budget" in capsys.readouterr().err
+
+    def test_overflowing_observables_are_an_error(self, tmp_path, capsys):
+        data = dict(
+            PAULI_PROBLEM,
+            state={"kind": "pure", "amplitudes": [1, 1]},
+            observables=[
+                [[1e200, 2e200], [2e200, -1e200]],
+                [[0, [0, -3e200]], [[0, 3e200], 0]],
+            ],
+        )
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warnings either
+            rc = cli.main(["evaluate", "--input", _write_problem(tmp_path, data),
+                           "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: non-finite") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            EigenConvergenceError(1e-3, 100),
+            ValueError("variance -1.0 is negative beyond round-off"),
+        ],
+    )
+    def test_evaluation_errors_exit_1(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "evaluate_all", fail)
+        rc = cli.main(["evaluate", "--input", _write_problem(tmp_path, PAULI_PROBLEM)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         fake = BoundReport(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewsum import _kernels
 from skewsum.linalg import (
     EigenConvergenceError,
     HermitianMatrix,
@@ -26,6 +27,19 @@ def _random_hermitian(dim, gen, scale=1.0):
 
 
 class TestHermitianMatrix:
+    def test_eigensystem_is_solved_once(self, monkeypatch):
+        calls = []
+        jacobi = _kernels.jacobi_sweeps
+        monkeypatch.setattr(
+            _kernels, "jacobi_sweeps", lambda *a: calls.append(1) or jacobi(*a)
+        )
+        h = HermitianMatrix(SIGMA_X + 0.5 * SIGMA_Z)
+        eig = h.eigensystem
+        assert h.eigensystem is eig and len(calls) == 1
+        ref = hermitian_eig(h)
+        np.testing.assert_array_equal(eig.values, ref.values)
+        np.testing.assert_array_equal(eig.vectors, ref.vectors)
+
     def test_rejects_plainly_asymmetric(self):
         with pytest.raises(NotHermitianError) as err:
             HermitianMatrix([[0, 1], [0, 0]])
