@@ -1,15 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the numpy kernels.
 
 Times the Jacobi eigensolver on batches of random Hermitian matrices and
 the permutation scan on random amplitude-vector stacks, then prints a
-table with the per-call cost of each path and the speedup. Run from the
-repository root:
+table with the per-call cost of each. Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeat 5]
-
-Force-disabling numba (SKEWSUM_DISABLE_NUMBA=1) leaves only the numpy
-column; the numba column also disappears when numba is not installed.
 """
 
 from __future__ import annotations
@@ -39,47 +35,23 @@ def time_call(fn, repeat: int) -> float:
     return best
 
 
-def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64):
+def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64) -> float:
     mats = [random_hermitian(dim, gen) for _ in range(count)]
     tol = 1e-13 * max(float(np.linalg.norm(m)) for m in mats)
 
-    def run(kernel):
-        def inner():
-            for m in mats:
-                a = m.copy()
-                v = np.eye(dim, dtype=np.complex128)
-                kernel(a, v, tol, 100)
+    def run():
+        for m in mats:
+            a = m.copy()
+            v = np.eye(dim, dtype=np.complex128)
+            _kernels.jacobi_sweeps(a, v, tol, 100)
 
-        return inner
-
-    rows = {}
-    rows["numpy"] = time_call(run(_kernels.jacobi_sweeps_numpy), repeat) / count
-    if _kernels.NUMBA_ENABLED:
-        _kernels.jacobi_sweeps_numba(mats[0].copy(), np.eye(dim, dtype=np.complex128), tol, 100)
-        rows["numba"] = time_call(run(_kernels.jacobi_sweeps_numba), repeat) / count
-    return rows
+    return time_call(run, repeat) / count
 
 
-def bench_scan(dim: int, n: int, repeat: int, gen: SplitMix64):
+def bench_scan(dim: int, n: int, repeat: int, gen: SplitMix64) -> float:
     avs = np.abs(gen.normals((n, dim)))
     _, args = scan_inputs(avs)
-
-    rows = {}
-    rows["numpy"] = time_call(lambda: _kernels.theorem1_scan_numpy(*args), repeat)
-    if _kernels.NUMBA_ENABLED:
-        _kernels.theorem1_scan_numba(*args)
-        rows["numba"] = time_call(lambda: _kernels.theorem1_scan_numba(*args), repeat)
-    return rows
-
-
-def report(label: str, rows: dict, unit: float = 1e6):
-    numpy_t = rows["numpy"] * unit
-    if "numba" in rows:
-        numba_t = rows["numba"] * unit
-        speedup = numpy_t / numba_t if numba_t > 0 else float("inf")
-        print(f"{label:<28} {numpy_t:>12.1f} {numba_t:>12.1f} {speedup:>9.1f}x")
-    else:
-        print(f"{label:<28} {numpy_t:>12.1f} {'-':>12} {'-':>10}")
+    return time_call(lambda: _kernels.theorem1_scan(*args), repeat)
 
 
 def main():
@@ -88,12 +60,13 @@ def main():
     args = parser.parse_args()
 
     gen = SplitMix64(20260814)
-    print(f"kernel backend in use: {_kernels.backend()}")
-    print(f"{'workload':<28} {'numpy (us)':>12} {'numba (us)':>12} {'speedup':>10}")
+    print(f"{'workload':<28} {'time (us)':>12}")
     for dim in (3, 6, 10):
-        report(f"jacobi d={dim} (per solve)", bench_jacobi(dim, 200, args.repeat, gen))
+        t = bench_jacobi(dim, 200, args.repeat, gen)
+        print(f"{f'jacobi d={dim} (per solve)':<28} {t * 1e6:>12.1f}")
     for dim, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
-        report(f"scan d={dim} N={n} (per scan)", bench_scan(dim, n, args.repeat, gen))
+        t = bench_scan(dim, n, args.repeat, gen)
+        print(f"{f'scan d={dim} N={n} (per scan)':<28} {t * 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

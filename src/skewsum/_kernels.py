@@ -1,41 +1,15 @@
-"""Hot numerical kernels: cyclic Jacobi sweeps and the permutation scan.
-
-Each kernel exists twice: an explicit-loop version compiled with numba and
-a vectorized pure-numpy version. The module-level names ``jacobi_sweeps``
-and ``theorem1_scan`` dispatch to the numba build when it is available and
-to numpy otherwise. Set ``SKEWSUM_DISABLE_NUMBA=1`` in the environment
-(before import) to force the numpy path; both implementations stay
-importable either way so they can be compared and benchmarked directly.
-"""
+"""Hot numerical kernels: cyclic Jacobi sweeps and the permutation scan."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("SKEWSUM_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via SKEWSUM_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    njit = None
-    NUMBA_ENABLED = False
-
 
 def backend() -> str:
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; the kernels are plain numpy."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -44,107 +18,35 @@ def backend() -> str:
 # One rotation zeroes a[p, q] by a complex Givens rotation built from
 #   phase = a[p, q] / |a[p, q]|,  tau = (a[q, q] - a[p, p]) / (2 |a[p, q]|),
 #   t = sign(tau) / (|tau| + sqrt(1 + tau^2)),  c = 1 / sqrt(1 + t^2),  s = t c.
-# Both implementations return (sweeps_done, offdiag_frobenius); the caller
-# decides convergence from the residual.
+# Returns (sweeps_done, offdiag_frobenius); the caller decides convergence
+# from the residual.
 #
-# The complex arithmetic is spelled out over real and imaginary parts, in
-# the same order in both versions. numpy's vectorized complex multiply may
-# contract to fused multiply-adds and its complex-by-real divide rounds
-# differently from numba's, so leaning on either would break the bitwise
-# agreement between the two paths that the tests pin down.
+# The complex arithmetic is spelled out over real and imaginary parts in a
+# fixed order. numpy's vectorized complex multiply may contract to fused
+# multiply-adds and its complex-by-real divide rounds differently, so
+# leaning on either would move the eigensystems' last bits and with them
+# the per-seed output bytes, which are a reproducibility contract.
 # ---------------------------------------------------------------------------
 
 
-def _off_norm_loops(a):
-    d = a.shape[0]
-    s = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                z = a[i, j]
-                s += z.real * z.real + z.imag * z.imag
-    return math.sqrt(s)
-
-
-def _jacobi_sweeps_loops(a, v, tol, max_sweeps):
-    d = a.shape[0]
-    off = _off_norm_loops(a)
-    sweeps = 0
-    while off > tol and sweeps < max_sweeps:
-        # rotations below this size cannot move the residual past tol
-        skip = tol / d
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phr = apq.real / r
-                phi = apq.imag / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cpr = c * phr
-                cpi = c * phi
-                spr = s * phr
-                spi = s * phi
-                for i in range(d):
-                    xr = a[i, p].real
-                    xi = a[i, p].imag
-                    yr = a[i, q].real
-                    yi = a[i, q].imag
-                    a[i, p] = complex((cpr * xr - cpi * xi) - s * yr,
-                                      (cpr * xi + cpi * xr) - s * yi)
-                    a[i, q] = complex((spr * xr - spi * xi) + c * yr,
-                                      (spr * xi + spi * xr) + c * yi)
-                for j in range(d):
-                    xr = a[p, j].real
-                    xi = a[p, j].imag
-                    yr = a[q, j].real
-                    yi = a[q, j].imag
-                    # rows pick up conj(cp) and conj(sp)
-                    a[p, j] = complex((cpr * xr + cpi * xi) - s * yr,
-                                      (cpr * xi - cpi * xr) - s * yi)
-                    a[q, j] = complex((spr * xr + spi * xi) + c * yr,
-                                      (spr * xi - spi * xr) + c * yi)
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(a[p, p].real, 0.0)
-                a[q, q] = complex(a[q, q].real, 0.0)
-                for i in range(d):
-                    xr = v[i, p].real
-                    xi = v[i, p].imag
-                    yr = v[i, q].real
-                    yi = v[i, q].imag
-                    v[i, p] = complex((cpr * xr - cpi * xi) - s * yr,
-                                      (cpr * xi + cpi * xr) - s * yi)
-                    v[i, q] = complex((spr * xr - spi * xi) + c * yr,
-                                      (spr * xi + spi * xr) + c * yi)
-        sweeps += 1
-        off = _off_norm_loops(a)
-    return sweeps, off
-
-
-def _off_norm_numpy(a: np.ndarray) -> float:
+def _off_norm(a: np.ndarray) -> float:
     sq = a.real**2 + a.imag**2
     np.fill_diagonal(sq, 0.0)
     if sq.size == 0:
         return 0.0
-    # cumsum accumulates strictly left to right like the loops version;
-    # sum() would reassociate pairwise and round differently
+    # cumsum accumulates strictly left to right; sum() would reassociate
+    # pairwise, round differently, and could stop the sweeps elsewhere
     return math.sqrt(float(np.cumsum(sq.reshape(-1))[-1]))
 
 
-def _jacobi_sweeps_numpy(a, v, tol, max_sweeps):
+def jacobi_sweeps(a, v, tol, max_sweeps):
     d = a.shape[0]
     ar, ai = a.real, a.imag
     vr, vi = v.real, v.imag
-    off = _off_norm_numpy(a)
+    off = _off_norm(a)
     sweeps = 0
     while off > tol and sweeps < max_sweeps:
+        # rotations below this size cannot move the residual past tol
         skip = tol / d
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -170,6 +72,7 @@ def _jacobi_sweeps_numpy(a, v, tol, max_sweeps):
                 ai[:, p] = (cpr * xi + cpi * xr) - s * yi
                 ar[:, q] = (spr * xr - spi * xi) + c * yr
                 ai[:, q] = (spr * xi + spi * xr) + c * yi
+                # rows pick up conj(cp) and conj(sp)
                 xr, xi = ar[p, :].copy(), ai[p, :].copy()
                 yr, yi = ar[q, :].copy(), ai[q, :].copy()
                 ar[p, :] = (cpr * xr + cpi * xi) - s * yr
@@ -187,136 +90,34 @@ def _jacobi_sweeps_numpy(a, v, tol, max_sweeps):
                 vr[:, q] = (spr * xr - spi * xi) + c * yr
                 vi[:, q] = (spr * xi + spi * xr) + c * yi
         sweeps += 1
-        off = _off_norm_numpy(a)
+        off = _off_norm(a)
     return sweeps, off
 
 
 # ---------------------------------------------------------------------------
 # Theorem-1 permutation scan.
 #
-# Inputs are precomputed Gram data for the amplitude vectors a_1 .. a_N with
-# the first permutation pinned to the identity:
-#   gram_first[j-1, t]   = a_1 . (a_j permuted by perm t)          (j >= 2)
-#   gram_pairs[m, ti, tj] = (a_i perm ti) . (a_j perm tj)          (2 <= i < j)
-#   pair_rows[m], pair_cols[m] = (i-1, j-1) zero-based indices for row m
-# The objective for a tuple of permutations (t_2 .. t_N) is
-#   c1 * (sum_terms + c2 * (sum of sqrt terms)^2)
-# built from ss = var_i + var_j + 2 g and dd = sqrt(max(var_i + var_j - 2 g, 0)).
-# Returns (best_value, flat_index) where flat_index encodes (t_2 .. t_N) in
-# lexicographic order and ties within tie_tol resolve to the smallest index.
+# The tuple grid has one axis per observable: length 1 for the first,
+# whose permutation is pinned to the identity, and d! for each other one.
+# Pair m = (i, j), in ``itertools.combinations`` order, contributes
+#   bases[m]  = var_i + var_j
+#   grams[m]  = (a_i perm t_i) . (a_j perm t_j), shaped to broadcast over
+#               the grid: its full length on axes i and j, 1 elsewhere.
+# The objective for a tuple is c1 * (sum ss + c2 * (sum dd)^2) with
+# ss = bases + 2 g and dd = sqrt(max(bases - 2 g, 0)).
+# Returns (best_value, flat_index) where flat_index indexes the grid in C
+# order and ties within tie_tol resolve to the smallest index.
 # ---------------------------------------------------------------------------
 
 
-def _theorem1_scan_loops(variances, gram_first, gram_pairs, pair_rows, pair_cols, nperm, c1, c2, tie_tol):
-    n1 = gram_first.shape[0]
-    total = 1
-    for _ in range(n1):
-        total *= nperm
-    # accumulate each pair's contribution over the flat tuple grid; digit
-    # position k has stride nperm**(n1 - 1 - k), additions happen in the
-    # same element-wise order as the numpy path so results match bitwise
-    ss = np.zeros(total, dtype=np.float64)
-    dd = np.zeros(total, dtype=np.float64)
-    for j in range(n1):
-        stride = nperm ** (n1 - 1 - j)
-        block = stride * nperm
-        base = variances[0] + variances[j + 1]
-        for t in range(nperm):
-            g = gram_first[j, t]
-            sv = base + 2.0 * g
-            diff = base - 2.0 * g
-            if diff < 0.0:
-                diff = 0.0
-            dv = math.sqrt(diff)
-            start = t * stride
-            for b in range(total // block):
-                off = b * block + start
-                for k in range(stride):
-                    ss[off + k] += sv
-                    dd[off + k] += dv
-    for m in range(gram_pairs.shape[0]):
-        i = pair_rows[m]
-        j = pair_cols[m]
-        stride_i = nperm ** (n1 - 1 - i)
-        stride_j = nperm ** (n1 - 1 - j)
-        block_i = stride_i * nperm
-        block_j = stride_j * nperm
-        base = variances[i + 1] + variances[j + 1]
-        for ti in range(nperm):
-            for tj in range(nperm):
-                g = gram_pairs[m, ti, tj]
-                sv = base + 2.0 * g
-                diff = base - 2.0 * g
-                if diff < 0.0:
-                    diff = 0.0
-                dv = math.sqrt(diff)
-                for bi in range(total // block_i):
-                    oi = bi * block_i + ti * stride_i
-                    for bj in range(stride_i // block_j):
-                        oj = oi + bj * block_j + tj * stride_j
-                        for k in range(stride_j):
-                            ss[oj + k] += sv
-                            dd[oj + k] += dv
-    best = -np.inf
-    for f in range(total):
-        v = c1 * (ss[f] + c2 * dd[f] * dd[f])
-        ss[f] = v
-        if v > best:
-            best = v
-    cutoff = best - tie_tol
-    sel = 0
-    for f in range(total):
-        if ss[f] >= cutoff:
-            sel = f
-            break
-    return best, sel
-
-
-def _theorem1_scan_numpy(variances, gram_first, gram_pairs, pair_rows, pair_cols, nperm, c1, c2, tie_tol):
-    n1 = gram_first.shape[0]
-    grid = (nperm,) * n1
-    ss_tot = np.zeros(grid)
-    dd_tot = np.zeros(grid)
-
-    def accumulate(g, i, j):
-        # g depends on digits (i, j); broadcast across the other axes
-        base = variances[i] + variances[j]
-        shape = [1] * n1
-        if i == 0:
-            shape[j - 1] = nperm
-        else:
-            shape[i - 1] = nperm
-            shape[j - 1] = nperm
-            g = g if i < j else g.T
-        g = g.reshape(shape)
+def theorem1_scan(bases, grams, c1, c2, tie_tol):
+    shape = np.broadcast_shapes(*(g.shape for g in grams))
+    ss_tot = np.zeros(shape)
+    dd_tot = np.zeros(shape)
+    for base, g in zip(bases, grams):
         np.add(ss_tot, base + 2.0 * g, out=ss_tot)
         np.add(dd_tot, np.sqrt(np.clip(base - 2.0 * g, 0.0, None)), out=dd_tot)
-
-    for j in range(1, n1 + 1):
-        accumulate(gram_first[j - 1], 0, j)
-    for m in range(gram_pairs.shape[0]):
-        accumulate(gram_pairs[m], int(pair_rows[m]) + 1, int(pair_cols[m]) + 1)
-
-    vals = c1 * (ss_tot + c2 * dd_tot * dd_tot)
-    flat_vals = vals.reshape(-1)
-    best = float(flat_vals.max()) if flat_vals.size else -math.inf
+    flat_vals = (c1 * (ss_tot + c2 * dd_tot * dd_tot)).reshape(-1)
+    best = float(flat_vals.max())
     sel = int(np.argmax(flat_vals >= best - tie_tol))
     return best, sel
-
-
-if NUMBA_ENABLED:
-    _off_norm_loops = njit(cache=True)(_off_norm_loops)
-    _jacobi_sweeps_loops = njit(cache=True)(_jacobi_sweeps_loops)
-    _theorem1_scan_loops = njit(cache=True)(_theorem1_scan_loops)
-    jacobi_sweeps_numba = _jacobi_sweeps_loops
-    theorem1_scan_numba = _theorem1_scan_loops
-    jacobi_sweeps = _jacobi_sweeps_loops
-    theorem1_scan = _theorem1_scan_loops
-else:
-    jacobi_sweeps_numba = None
-    theorem1_scan_numba = None
-    jacobi_sweeps = _jacobi_sweeps_numpy
-    theorem1_scan = _theorem1_scan_numpy
-
-jacobi_sweeps_numpy = _jacobi_sweeps_numpy
-theorem1_scan_numpy = _theorem1_scan_numpy

@@ -354,58 +354,39 @@ def bound_theorem1(
     """
     state, obs = _coerce(rho, observables)
     _check_budget(obs, budget)
-    n, d = obs.n, obs.dim
     perms, args = scan_inputs(_data(state, obs, data).amplitudes)
     best, sel = _kernels.theorem1_scan(*args)
-    nperm = perms.shape[0]
-    digits = []
-    rem = int(sel)
-    for pos in range(n - 1):
-        stride = nperm ** (n - 2 - pos)
-        digits.append(rem // stride)
-        rem %= stride
-    tup = (tuple(range(d)),) + tuple(tuple(int(k) for k in perms[t]) for t in digits)
+    digits = np.unravel_index(sel, (1,) + (perms.shape[0],) * (obs.n - 1))
+    tup = tuple(tuple(int(k) for k in perms[t]) for t in digits)
     return BoundValue("theorem1", float(best), True, PermutationTuple(tup))
 
 
 def scan_inputs(avs: np.ndarray):
-    """Precompute the Gram data the permutation-scan kernels consume.
+    """Precompute the Gram data the permutation-scan kernel consumes.
 
-    ``avs`` is the (N, d) stack of amplitude vectors. Returns
-    (perms, args) where args unpacks directly into either scan kernel.
+    ``avs`` is the (N, d) stack of amplitude vectors. Returns (perms, args):
+    ``perms`` lists the d! orderings, the identity first, and ``args``
+    unpacks into :func:`_kernels.theorem1_scan`. The first observable keeps
+    the identity ordering, so its tuple-grid axis has length 1.
     """
     n, d = avs.shape
     variances = np.einsum("ij,ij->i", avs, avs)
     perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-    nperm = perms.shape[0]
-    permuted = avs[:, perms]  # (N, nperm, d)
-    gram_first = np.ascontiguousarray(permuted[1:] @ avs[0])
-    pair_rows = []
-    pair_cols = []
-    blocks = []
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            pair_rows.append(i - 1)
-            pair_cols.append(j - 1)
-            blocks.append(permuted[i] @ permuted[j].T)
-    if blocks:
-        gram_pairs = np.ascontiguousarray(np.stack(blocks))
-    else:
-        gram_pairs = np.zeros((0, nperm, nperm))
+    # one (orderings, d) block per observable; the first has only the identity.
+    # The blocks keep the strided layout of avs[:, perms]: numpy multiplies
+    # those with its own loop, contiguous ones through BLAS, and the two
+    # round differently, which would change the output bytes.
+    permuted = [avs[:1], *avs[:, perms][1:]]
+    i, j = _pairs(n)
+    grams = []
+    for pi, pj in zip(i, j):
+        shape = [1] * n
+        shape[pi] = permuted[pi].shape[0]
+        shape[pj] = permuted[pj].shape[0]
+        grams.append((permuted[pi] @ permuted[pj].T).reshape(shape))
     c1 = 1.0 / (2.0 * n - 2.0)
     c2 = 2.0 / (n * (n - 1.0))
-    args = (
-        variances,
-        gram_first,
-        gram_pairs,
-        np.asarray(pair_rows, dtype=np.int64),
-        np.asarray(pair_cols, dtype=np.int64),
-        nperm,
-        c1,
-        c2,
-        TIE_TOL,
-    )
-    return perms, args
+    return perms, (variances[i] + variances[j], grams, c1, c2, TIE_TOL)
 
 
 def bound_song(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
@@ -561,9 +542,12 @@ def evaluate_all(
     ``tolerance * max(1, target)``; with correct arithmetic that never
     happens, so the violations list doubles as a numerical check. A
     non-finite sum, bound or target raises ``ValueError`` rather than
-    passing that check. Tightest bounds are the largest applicable value
-    per family, ties going to the earlier catalog entry.
+    passing that check, and so does a non-finite ``tolerance``, which would
+    disable it. Tightest bounds are the largest applicable value per
+    family, ties going to the earlier catalog entry.
     """
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
     state, obs = _coerce(rho, observables)
     _check_budget(obs, budget)
     # float64 overflow is reported by the finiteness checks below, not by numpy warnings

@@ -158,6 +158,9 @@ def _number_field(data, key, default, where):
         return default
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise CliInputError(f"{where}: expected a number, got {val!r}")
+    # JSON admits NaN and overflows 1e400 to inf
+    if isinstance(val, float) and not math.isfinite(val):
+        raise CliInputError(f"{where}: expected a finite number, got {val!r}")
     return val
 
 
@@ -308,6 +311,8 @@ def cmd_fuzz(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+    if not math.isfinite(tolerance):
+        raise CliInputError(f"--tolerance: expected a finite number, got {tolerance!r}")
 
     stats = {}
     reproducers = []

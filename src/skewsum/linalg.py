@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra on small complex matrices.
 
-Eigendecomposition goes through the in-package cyclic Jacobi kernels (see
-``_kernels``) rather than LAPACK so that results are bit-stable for a given
-backend. Matrices are plain ``complex128`` arrays wrapped in a thin
-validated type.
+Eigendecomposition goes through the in-package cyclic Jacobi kernel (see
+``_kernels``) rather than LAPACK, so that its rotation order and arithmetic,
+and with them the results' bits, are fixed by this package. Matrices are
+plain ``complex128`` arrays wrapped in a thin validated type.
 """
 
 from __future__ import annotations
@@ -187,6 +187,12 @@ def sqrt_psd(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> HermitianMatrix:
     lo = float(eig.values[0]) if eig.dim else 0.0
     if lo < PSD_EIG_FLOOR:
         raise NotPositiveSemidefiniteError(lo)
+    return _spectral_sqrt(eig)
+
+
+def _spectral_sqrt(eig: EigenSystem) -> HermitianMatrix:
+    """V sqrt(w) V^dag from a PSD eigensystem, eigenvalues below
+    ``ZERO_EIG_SNAP`` snapped to zero."""
     w = np.where(eig.values < ZERO_EIG_SNAP, 0.0, eig.values)
     root = (eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T
     # the spectral product is Hermitian only to round-off; symmetrizing

@@ -132,11 +132,16 @@ DEFAULT_GRID_POINTS = 201
 
 def grid_points(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive grid start, start + step, ..., up to stop (within round-off)."""
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"grid {start}:{stop}:{step} has too many points")
+    count = int(math.floor(steps + 1e-9)) + 1
     # accumulated round-off must not push the last point past stop
     return np.minimum(start + step * np.arange(count), stop)
 

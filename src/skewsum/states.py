@@ -9,10 +9,10 @@ import numpy as np
 
 from .linalg import (
     PSD_EIG_FLOOR,
-    ZERO_EIG_SNAP,
     EigenSystem,
     HermitianMatrix,
     NotPositiveSemidefiniteError,
+    _spectral_sqrt,
     as_matrix,
 )
 from .rng import SplitMix64
@@ -87,12 +87,7 @@ class DensityMatrix:
     def sqrt(self) -> HermitianMatrix:
         """Principal square root, computed once from the cached eigensystem."""
         if self._sqrt is None:
-            eig = self.eigensystem
-            w = np.where(eig.values < ZERO_EIG_SNAP, 0.0, eig.values)
-            v = eig.vectors
-            root = (v * np.sqrt(w)) @ v.conj().T
-            root = (root + root.conj().T) / 2.0
-            self._sqrt = HermitianMatrix(root)
+            self._sqrt = _spectral_sqrt(self.eigensystem)
         return self._sqrt
 
     def purity(self) -> float:

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-# JIT compilation pauses would trip hypothesis' per-example deadline
+# pure-numpy Jacobi solves take milliseconds and vary with machine load,
+# which would trip hypothesis' per-example deadline
 settings.register_profile(
     "kernels", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -10,7 +11,8 @@ settings.load_profile("kernels")
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile/load the jitted kernels once so timed tests measure math, not JIT."""
+    """Run one evaluation up front so the first test does not also pay
+    first-call setup costs."""
     import skewsum as sk
 
     state = sk.random_mixed(3, seed=11)

@@ -315,6 +315,13 @@ class TestEvaluateAll:
         with pytest.raises(BudgetExceededError):
             evaluate_all(state, obs, budget=10)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_raises(self, make_instance, tolerance):
+        # a NaN tolerance made every violation comparison false
+        state, obs = make_instance(3, 3, 16)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            evaluate_all(state, obs, tolerance=tolerance)
+
     def test_dimension_mismatch(self, make_instance):
         state, _ = make_instance(2, 2, 13)
         with pytest.raises(ValueError):

@@ -148,6 +148,24 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "json"])
+    def test_nan_tolerance_is_input_error(self, tmp_path, capsys, source):
+        # a NaN tolerance used to disable the violation check and exit 0
+        if source == "flag":
+            argv = ["--input", _write_problem(tmp_path, PAULI_PROBLEM), "--tolerance", "nan"]
+        else:
+            argv = ["--input", _write_problem(tmp_path, dict(PAULI_PROBLEM, tolerance=math.nan))]
+        assert cli.main(["evaluate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tolerance" in err
+
+    @pytest.mark.parametrize("budget", ["1e400", "NaN", "-Infinity"])
+    def test_non_finite_json_budget_is_input_error(self, tmp_path, capsys, budget):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(PAULI_PROBLEM)[:-1] + f', "budget": {budget}}}')
+        assert cli.main(["evaluate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: budget: expected a finite number")
+
     @pytest.mark.parametrize(
         "exc",
         [
@@ -251,6 +269,21 @@ class TestSweep:
         assert rc == 1
         assert "theta-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1e300:1e-300"])
+    def test_non_finite_or_overflowing_grid(self, tmp_path, capsys, grid):
+        rc = cli.main(["sweep", "--scenario", "example1", "--theta-grid", grid,
+                       "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: grid ")
+
+    def test_nan_tolerance_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--scenario", "example2", "--tolerance", "nan",
+                       "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+        assert not out.exists()
+
     def test_unknown_scenario(self, tmp_path):
         rc = cli.main([
             "sweep",
@@ -310,6 +343,13 @@ class TestFuzz:
         assert cli.main(args + ["--output", str(a)]) == 0
         assert cli.main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nan_tolerance_rejected_before_any_trial(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        rc = cli.main(["fuzz", "--trials", "0", "--tolerance", "nan", "--output", str(out)])
+        assert rc == 1
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_dims(self, tmp_path, capsys):
         rc = cli.main(["fuzz", "--dims", "2,x", "--output", str(tmp_path / "f.csv")])

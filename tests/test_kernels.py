@@ -1,19 +1,12 @@
-"""Both kernel paths (numba and pure numpy) must agree on the same inputs."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels: Jacobi sweeps and the Theorem-1 permutation scan."""
 
 import numpy as np
 import pytest
 
+import skewsum
 from skewsum import _kernels
 from skewsum.bounds import scan_inputs
 from skewsum.rng import SplitMix64
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
 
 
 def _random_hermitian(dim, gen):
@@ -21,45 +14,26 @@ def _random_hermitian(dim, gen):
     return (g + g.conj().T) / 2.0
 
 
-def _run_jacobi(kernel, mat):
+def _run_jacobi(mat):
     a = mat.copy()
     v = np.eye(mat.shape[0], dtype=np.complex128)
     tol = 1e-13 * max(float(np.linalg.norm(mat)), 1e-300)
-    sweeps, off = kernel(a, v, tol, 100)
+    sweeps, off = _kernels.jacobi_sweeps(a, v, tol, 100)
     assert off <= tol
     return a, v
 
 
 def test_backend_reports_active_path():
-    assert _kernels.backend() in ("numba", "numpy")
-    assert (_kernels.backend() == "numba") == _kernels.NUMBA_ENABLED
-    if _kernels.NUMBA_ENABLED:
-        assert _kernels.jacobi_sweeps is _kernels.jacobi_sweeps_numba
-        assert _kernels.theorem1_scan is _kernels.theorem1_scan_numba
-    else:
-        assert _kernels.jacobi_sweeps is _kernels.jacobi_sweeps_numpy
-        assert _kernels.theorem1_scan is _kernels.theorem1_scan_numpy
+    assert skewsum.backend() == _kernels.backend() == "numpy"
 
 
 def test_jacobi_numpy_diagonalizes():
     gen = SplitMix64(31)
     for dim in (2, 3, 5):
         m = _random_hermitian(dim, gen)
-        a, v = _run_jacobi(_kernels.jacobi_sweeps_numpy, m)
+        a, v = _run_jacobi(m)
         rec = v @ a @ v.conj().T
         assert np.max(np.abs(rec - m)) < 1e-11 * max(1.0, float(np.linalg.norm(m)))
-
-
-@needs_numba
-def test_jacobi_paths_agree():
-    gen = SplitMix64(32)
-    for dim in (2, 3, 4, 6):
-        m = _random_hermitian(dim, gen)
-        a1, v1 = _run_jacobi(_kernels.jacobi_sweeps_numpy, m)
-        a2, v2 = _run_jacobi(_kernels.jacobi_sweeps_numba, m)
-        # same rotation sequence, so the agreement is exact
-        np.testing.assert_array_equal(np.diag(a1), np.diag(a2))
-        np.testing.assert_array_equal(v1, v2)
 
 
 def test_scan_numpy_matches_direct_enumeration():
@@ -71,7 +45,7 @@ def test_scan_numpy_matches_direct_enumeration():
         d = 2 + (trial // 3) % 2
         avs = np.abs(gen.normals((n, d)))
         perms_arr, args = scan_inputs(avs)
-        best, sel = _kernels.theorem1_scan_numpy(*args)
+        best, sel = _kernels.theorem1_scan(*args)
 
         perms = list(itertools.permutations(range(d)))
         c1 = 1.0 / (2.0 * n - 2.0)
@@ -90,55 +64,10 @@ def test_scan_numpy_matches_direct_enumeration():
         assert best == pytest.approx(ref_best, abs=1e-10)
 
 
-@needs_numba
-def test_scan_paths_agree_bitwise():
-    gen = SplitMix64(34)
-    for trial in range(40):
-        n = 2 + trial % 3
-        d = 2 + trial % 3
-        avs = np.abs(gen.normals((n, d)))
-        _, args = scan_inputs(avs)
-        b_np, s_np = _kernels.theorem1_scan_numpy(*args)
-        b_nb, s_nb = _kernels.theorem1_scan_numba(*args)
-        assert b_np == b_nb
-        assert s_np == s_nb
-
-
-@needs_numba
 def test_scan_tie_selection_is_first_index():
-    # identical amplitude vectors make every tuple optimal; both paths
-    # must settle on the lexicographically first one
+    # identical amplitude vectors make every tuple optimal; the scan must
+    # settle on the lexicographically first one
     avs = np.ones((3, 3))
     _, args = scan_inputs(avs)
-    _, s_np = _kernels.theorem1_scan_numpy(*args)
-    _, s_nb = _kernels.theorem1_scan_numba(*args)
-    assert s_np == 0
-    assert s_nb == 0
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SKEWSUM_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import skewsum; print(skewsum.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_backends_produce_identical_sweep_bytes(tmp_path):
-    # the whole pipeline (eigensolver, scan, formatting) is backend-invariant
-    args = [
-        sys.executable, "-m", "skewsum.cli",
-        "sweep", "--scenario", "example3", "--theta-grid", "0:3.14:0.8",
-    ]
-    out_nb = tmp_path / "numba.csv"
-    out_np = tmp_path / "numpy.csv"
-    r1 = subprocess.run(args + ["--output", str(out_nb)], capture_output=True)
-    env = dict(os.environ, SKEWSUM_DISABLE_NUMBA="1")
-    r2 = subprocess.run(args + ["--output", str(out_np)], capture_output=True, env=env)
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert out_nb.read_bytes() == out_np.read_bytes()
+    _, sel = _kernels.theorem1_scan(*args)
+    assert sel == 0

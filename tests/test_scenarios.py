@@ -164,6 +164,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             grid_points(1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [(0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)],
+    )
+    def test_non_finite_rejected(self, start, stop, step):
+        with pytest.raises(ValueError, match="finite"):
+            grid_points(start, stop, step)
+
+    @pytest.mark.parametrize("start,stop,step", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+    def test_overflowing_point_count_rejected(self, start, stop, step):
+        with pytest.raises(ValueError, match="too many points"):
+            grid_points(start, stop, step)
+
 
 class TestSweep:
     def test_spec_validation(self):
