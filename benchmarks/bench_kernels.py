@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numpy kernels.
+"""Benchmark the kernels.
 
 Times the Jacobi eigensolver on batches of random Hermitian matrices and
 the permutation scan on random amplitude-vector stacks, then prints a
@@ -61,7 +61,7 @@ def main():
 
     gen = SplitMix64(20260814)
     print(f"{'workload':<28} {'time (us)':>12}")
-    for dim in (3, 6, 10):
+    for dim in (2, 3, 4, 6, 10):
         t = bench_jacobi(dim, 200, args.repeat, gen)
         print(f"{f'jacobi d={dim} (per solve)':<28} {t * 1e6:>12.1f}")
     for dim, n in ((3, 3), (4, 3), (4, 4), (5, 3)):

@@ -8,7 +8,8 @@ import numpy as np
 
 
 def backend() -> str:
-    """Name of the kernel backend; the kernels are plain numpy."""
+    """Name of the kernel backend: numpy, with no compiled extension (the
+    Jacobi rotations run on Python floats)."""
     return "numpy"
 
 
@@ -21,42 +22,65 @@ def backend() -> str:
 # Returns (sweeps_done, offdiag_frobenius); the caller decides convergence
 # from the residual.
 #
-# The complex arithmetic is spelled out over real and imaginary parts in a
-# fixed order. numpy's vectorized complex multiply may contract to fused
-# multiply-adds and its complex-by-real divide rounds differently, so
-# leaning on either would move the eigensystems' last bits and with them
-# the per-seed output bytes, which are a reproducibility contract.
+# The rotations run on Python floats: the real and imaginary parts of a and
+# v are copied to nested lists on entry and written back on exit. At the
+# small d this package solves, a numpy call on a length-d slice costs far
+# more than its arithmetic, and one rotation took about 50 of them.
+#
+# The eigensystems' last bits, and with them the per-seed output bytes,
+# are a reproducibility contract, so the arithmetic is fixed:
+# - the complex products are spelled out over real and imaginary parts in
+#   a fixed order; a complex multiply may contract to fused multiply-adds,
+#   and a complex-by-real divide rounds differently;
+# - each Python float operation is one IEEE operation rounded once, with no
+#   contraction or reassociation, so these bits equal those of the
+#   element-wise numpy form this kernel replaced (kept in the tests as the
+#   oracle). Squares are x * x, and |a[p, q]| is abs(complex(re, im)),
+#   which is libm hypot like numpy's complex abs; math.hypot is not;
+# - the residual sums the squares strictly left to right in row-major
+#   order, never with sum(), which may round differently.
 # ---------------------------------------------------------------------------
 
 
-def _off_norm(a: np.ndarray) -> float:
-    sq = a.real**2 + a.imag**2
-    np.fill_diagonal(sq, 0.0)
-    if sq.size == 0:
-        return 0.0
-    # cumsum accumulates strictly left to right; sum() would reassociate
-    # pairwise, round differently, and could stop the sweeps elsewhere
-    return math.sqrt(float(np.cumsum(sq.reshape(-1))[-1]))
+def _off_norm(ar, ai) -> float:
+    total = 0.0
+    for p, (row_r, row_i) in enumerate(zip(ar, ai)):
+        for q, (x, y) in enumerate(zip(row_r, row_i)):
+            if q != p:
+                total += x * x + y * y
+    return math.sqrt(total)
+
+
+def _rotate_columns(mr, mi, p, q, cpr, cpi, spr, spi, c, s):
+    """Columns p, q of m <- (cp x - s y, sp x + c y) with x, y the old ones."""
+    for row_r, row_i in zip(mr, mi):
+        xr, xi, yr, yi = row_r[p], row_i[p], row_r[q], row_i[q]
+        row_r[p] = (cpr * xr - cpi * xi) - s * yr
+        row_i[p] = (cpr * xi + cpi * xr) - s * yi
+        row_r[q] = (spr * xr - spi * xi) + c * yr
+        row_i[q] = (spr * xi + spi * xr) + c * yi
 
 
 def jacobi_sweeps(a, v, tol, max_sweeps):
     d = a.shape[0]
-    ar, ai = a.real, a.imag
-    vr, vi = v.real, v.imag
-    off = _off_norm(a)
+    ar, ai = a.real.tolist(), a.imag.tolist()
+    vr, vi = v.real.tolist(), v.imag.tolist()
+    off = _off_norm(ar, ai)
     sweeps = 0
     while off > tol and sweeps < max_sweeps:
         # rotations below this size cannot move the residual past tol
         skip = tol / d
         for p in range(d - 1):
+            arp, aip = ar[p], ai[p]
             for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
+                arq, aiq = ar[q], ai[q]
+                apr, api = arp[q], aip[q]
+                r = abs(complex(apr, api))
                 if r <= skip:
                     continue
-                phr = apq.real / r
-                phi = apq.imag / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                phr = apr / r
+                phi = api / r
+                tau = (arq[q] - arp[p]) / (2.0 * r)
                 t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 if tau < 0.0:
                     t = -t
@@ -66,31 +90,23 @@ def jacobi_sweeps(a, v, tol, max_sweeps):
                 cpi = c * phi
                 spr = s * phr
                 spi = s * phi
-                xr, xi = ar[:, p].copy(), ai[:, p].copy()
-                yr, yi = ar[:, q].copy(), ai[:, q].copy()
-                ar[:, p] = (cpr * xr - cpi * xi) - s * yr
-                ai[:, p] = (cpr * xi + cpi * xr) - s * yi
-                ar[:, q] = (spr * xr - spi * xi) + c * yr
-                ai[:, q] = (spr * xi + spi * xr) + c * yi
+                _rotate_columns(ar, ai, p, q, cpr, cpi, spr, spi, c, s)
                 # rows pick up conj(cp) and conj(sp)
-                xr, xi = ar[p, :].copy(), ai[p, :].copy()
-                yr, yi = ar[q, :].copy(), ai[q, :].copy()
-                ar[p, :] = (cpr * xr + cpi * xi) - s * yr
-                ai[p, :] = (cpr * xi - cpi * xr) - s * yi
-                ar[q, :] = (spr * xr + spi * xi) + c * yr
-                ai[q, :] = (spr * xi - spi * xr) + c * yi
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                ai[p, p] = 0.0
-                ai[q, q] = 0.0
-                xr, xi = vr[:, p].copy(), vi[:, p].copy()
-                yr, yi = vr[:, q].copy(), vi[:, q].copy()
-                vr[:, p] = (cpr * xr - cpi * xi) - s * yr
-                vi[:, p] = (cpr * xi + cpi * xr) - s * yi
-                vr[:, q] = (spr * xr - spi * xi) + c * yr
-                vi[:, q] = (spr * xi + spi * xr) + c * yi
+                for k in range(d):
+                    xr, xi, yr, yi = arp[k], aip[k], arq[k], aiq[k]
+                    arp[k] = (cpr * xr + cpi * xi) - s * yr
+                    aip[k] = (cpr * xi - cpi * xr) - s * yi
+                    arq[k] = (spr * xr + spi * xi) + c * yr
+                    aiq[k] = (spr * xi - spi * xr) + c * yi
+                arp[q] = aip[q] = arq[p] = aiq[p] = 0.0
+                aip[p] = aiq[q] = 0.0
+                _rotate_columns(vr, vi, p, q, cpr, cpi, spr, spi, c, s)
         sweeps += 1
-        off = _off_norm(a)
+        off = _off_norm(ar, ai)
+    a.real[...] = ar
+    a.imag[...] = ai
+    v.real[...] = vr
+    v.imag[...] = vi
     return sweeps, off
 
 

@@ -164,6 +164,16 @@ def _number_field(data, key, default, where):
     return val
 
 
+def _integer_field(data, key, default, where):
+    val = _number_field(data, key, default, where)
+    # JSON writes 1e6 as a float; accept it, but never truncate 3.9 to 3
+    if isinstance(val, float):
+        if not val.is_integer():
+            raise CliInputError(f"{where}: expected an integer, got {val!r}")
+        val = int(val)
+    return val
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -192,8 +202,8 @@ def cmd_evaluate(args) -> int:
         raise CliInputError(f"{args.input}: invalid JSON: {exc}") from exc
 
     state, obs = _parse_problem(data)
-    budget = args.budget if args.budget is not None else int(
-        _number_field(data, "budget", DEFAULT_BUDGET, "budget")
+    budget = args.budget if args.budget is not None else _integer_field(
+        data, "budget", DEFAULT_BUDGET, "budget"
     )
     tolerance = args.tolerance if args.tolerance is not None else float(
         _number_field(data, "tolerance", DEFAULT_TOLERANCE, "tolerance")

@@ -2,12 +2,17 @@
 
 Eigendecomposition goes through the in-package cyclic Jacobi kernel (see
 ``_kernels``) rather than LAPACK, so that its rotation order and arithmetic,
-and with them the results' bits, are fixed by this package. Matrices are
-plain ``complex128`` arrays wrapped in a thin validated type.
+and with them the results' bits, are fixed by this package. The kernel
+rotates Python floats, and each Python float operation is one IEEE
+operation rounded once, so the rotations' bits do not depend on how numpy
+dispatches its loops; only the convergence tolerance comes from
+``numpy.linalg.norm``. Matrices are plain ``complex128`` arrays wrapped in
+a thin validated type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,9 @@ PSD_EIG_FLOOR = -1e-10
 # so rank-deficient inputs do not leak sqrt(tiny-noise) into results
 ZERO_EIG_SNAP = 1e-12
 JACOBI_TOL_FACTOR = 1e-13
+# matrices whose Frobenius norm is below this or not finite are solved
+# scaled by a power of two, which is exact, and the eigenvalues scaled back
+_NORM_FLOOR = 2.0**-500
 JACOBI_MAX_SWEEPS = 100
 _PHASE_EPS = 1e-8
 
@@ -148,19 +156,32 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
     Eigenvalues come back ascending (stable order among exact ties) and each
     eigenvector's first component of magnitude above 1e-8 is made real and
     positive, which pins the phase deterministically.
+
+    A matrix whose Frobenius norm overflows, or underflows below 2**-500,
+    would get a meaningless convergence tolerance; it is solved scaled by a
+    power of two and its eigenvalues are scaled back, both exactly.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
     a = np.array(matrix.mat, dtype=np.complex128, order="C")
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
-    norm = float(np.linalg.norm(matrix.mat))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    exp = 0
+    if not _NORM_FLOOR <= norm < math.inf:
+        # the squares in the norm over- or underflowed, and the residual's
+        # would too: solve a copy whose largest entry lies in [1/2, 1)
+        parts = a.view(np.float64)
+        exp = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+        np.ldexp(parts, -exp, out=parts)
+        norm = float(np.linalg.norm(a))
     tol = JACOBI_TOL_FACTOR * max(norm, np.finfo(np.float64).tiny)
     sweeps, off = _kernels.jacobi_sweeps(a, v, tol, max_sweeps)
     if off > tol:
-        raise EigenConvergenceError(off, sweeps)
+        raise EigenConvergenceError(math.ldexp(off, exp), sweeps)
 
-    values = np.diagonal(a).real.copy()
+    values = np.ldexp(np.diagonal(a).real, exp)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = np.array(v[:, order], order="C")

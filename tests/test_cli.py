@@ -166,6 +166,19 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: budget: expected a finite number")
 
+    def test_fractional_json_budget_is_input_error(self, tmp_path, capsys):
+        # int() used to truncate 3.9 to 3 and report "budget is 3"
+        data = dict(PAULI_PROBLEM, budget=3.9)
+        assert cli.main(["evaluate", "--input", _write_problem(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == "error: budget: expected an integer, got 3.9\n"
+
+    @pytest.mark.parametrize("budget", [1e6, 4.0])
+    def test_integral_float_json_budget_is_accepted(self, tmp_path, capsys, budget):
+        # the three-Pauli problem scans exactly 4 tuples
+        data = dict(PAULI_PROBLEM, budget=budget)
+        assert cli.main(["evaluate", "--input", _write_problem(tmp_path, data)]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+
     @pytest.mark.parametrize(
         "exc",
         [

@@ -1,4 +1,6 @@
-"""The numpy kernels: Jacobi sweeps and the Theorem-1 permutation scan."""
+"""The kernels: Jacobi sweeps and the Theorem-1 permutation scan."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import skewsum
 from skewsum import _kernels
 from skewsum.bounds import scan_inputs
 from skewsum.rng import SplitMix64
+from skewsum.scenarios import L_X, L_Y, L_Z
+from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, random_pure
 
 
 def _random_hermitian(dim, gen):
@@ -71,3 +75,117 @@ def test_scan_tie_selection_is_first_index():
     _, args = scan_inputs(avs)
     _, sel = _kernels.theorem1_scan(*args)
     assert sel == 0
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the element-wise numpy Jacobi kernel that the scalar one
+# replaced, kept verbatim. The scalar kernel must reproduce its sweeps,
+# residual and every bit of a and v.
+# ---------------------------------------------------------------------------
+
+
+def _reference_off_norm(a: np.ndarray) -> float:
+    sq = a.real**2 + a.imag**2
+    np.fill_diagonal(sq, 0.0)
+    if sq.size == 0:
+        return 0.0
+    # cumsum accumulates strictly left to right; sum() would reassociate
+    # pairwise, round differently, and could stop the sweeps elsewhere
+    return math.sqrt(float(np.cumsum(sq.reshape(-1))[-1]))
+
+
+def _reference_jacobi_sweeps(a, v, tol, max_sweeps):
+    d = a.shape[0]
+    ar, ai = a.real, a.imag
+    vr, vi = v.real, v.imag
+    off = _reference_off_norm(a)
+    sweeps = 0
+    while off > tol and sweeps < max_sweeps:
+        # rotations below this size cannot move the residual past tol
+        skip = tol / d
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phr = apq.real / r
+                phi = apq.imag / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                if tau < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                cpr = c * phr
+                cpi = c * phi
+                spr = s * phr
+                spi = s * phi
+                xr, xi = ar[:, p].copy(), ai[:, p].copy()
+                yr, yi = ar[:, q].copy(), ai[:, q].copy()
+                ar[:, p] = (cpr * xr - cpi * xi) - s * yr
+                ai[:, p] = (cpr * xi + cpi * xr) - s * yi
+                ar[:, q] = (spr * xr - spi * xi) + c * yr
+                ai[:, q] = (spr * xi + spi * xr) + c * yi
+                # rows pick up conj(cp) and conj(sp)
+                xr, xi = ar[p, :].copy(), ai[p, :].copy()
+                yr, yi = ar[q, :].copy(), ai[q, :].copy()
+                ar[p, :] = (cpr * xr + cpi * xi) - s * yr
+                ai[p, :] = (cpr * xi - cpi * xr) - s * yi
+                ar[q, :] = (spr * xr + spi * xi) + c * yr
+                ai[q, :] = (spr * xi - spi * xr) + c * yi
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                ai[p, p] = 0.0
+                ai[q, q] = 0.0
+                xr, xi = vr[:, p].copy(), vi[:, p].copy()
+                yr, yi = vr[:, q].copy(), vi[:, q].copy()
+                vr[:, p] = (cpr * xr - cpi * xi) - s * yr
+                vi[:, p] = (cpr * xi + cpi * xr) - s * yi
+                vr[:, q] = (spr * xr - spi * xi) + c * yr
+                vi[:, q] = (spr * xi + spi * xr) + c * yi
+        sweeps += 1
+        off = _reference_off_norm(a)
+    return sweeps, off
+
+
+def _differential_corpus():
+    """(label, matrix) pairs covering every branch of the rotation loop."""
+    gen = SplitMix64(20261018)
+    cases = []
+    for d in (1, 2, 3, 4, 5, 6, 10):
+        for k in range(6):
+            cases.append((f"gue-d{d}-{k}", _random_hermitian(d, gen)))
+        for k in range(3):
+            psi = random_pure(d, seed=1000 * d + k).mat
+            cases.append((f"rank1-d{d}-{k}", np.array(psi)))
+        # already diagonal: every rotation takes the skip branch
+        cases.append((f"diag-d{d}", np.diag(gen.normals(d)).astype(np.complex128)))
+        cases.append((f"zero-d{d}", np.zeros((d, d), dtype=np.complex128)))
+        # a degenerate spectrum in a random basis
+        u, _ = np.linalg.qr(gen.complex_normals((d, d)))
+        w = np.where(np.arange(d) < (d + 1) // 2, 1.0, -2.0)
+        cases.append((f"degenerate-d{d}", (u * w) @ u.conj().T))
+    for name, m in (("L_X", L_X), ("L_Y", L_Y), ("L_Z", L_Z),
+                    ("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y), ("sigma_z", SIGMA_Z)):
+        cases.append((name, np.array(m)))
+    return cases
+
+
+@pytest.mark.parametrize("max_sweeps", [100, 1])
+def test_scalar_jacobi_is_bitwise_equal_to_numpy_reference(max_sweeps):
+    cases = _differential_corpus()
+    rotated = 0
+    for label, m in cases:
+        tol = 1e-13 * max(float(np.linalg.norm(m)), np.finfo(np.float64).tiny)
+        d = m.shape[0]
+        a_ref, v_ref = m.copy(), np.eye(d, dtype=np.complex128)
+        a_new, v_new = m.copy(), np.eye(d, dtype=np.complex128)
+        sweeps_ref, off_ref = _reference_jacobi_sweeps(a_ref, v_ref, tol, max_sweeps)
+        sweeps_new, off_new = _kernels.jacobi_sweeps(a_new, v_new, tol, max_sweeps)
+        assert (sweeps_new, off_new.hex()) == (sweeps_ref, off_ref.hex()), label
+        assert a_new.tobytes() == a_ref.tobytes(), label
+        assert v_new.tobytes() == v_ref.tobytes(), label
+        rotated += sweeps_ref > 0
+    # the corpus must exercise real rotations, not only the skip branch
+    assert rotated > len(cases) // 2

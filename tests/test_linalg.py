@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ class TestHermitianEig:
             hermitian_eig(SIGMA_X, max_sweeps=0)
         assert err.value.residual == pytest.approx(math.sqrt(2.0))
         assert err.value.sweeps == 0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scales(self, scale):
+        # the Frobenius norm over- or underflows here; the solver used to
+        # get an infinite or zero tolerance, run no sweep, and return the
+        # diagonal [-2, 1] * scale
+        m = np.array([[1.0, 3.0], [3.0, -2.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = hermitian_eig(m)
+        ref = np.linalg.eigvalsh(m / scale) * scale
+        np.testing.assert_allclose(eig.values, ref, rtol=1e-14, atol=0.0)
+        rec = (eig.vectors * eig.values) @ eig.vectors.conj().T
+        np.testing.assert_allclose(rec / scale, m / scale, atol=1e-13)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # the rescaled solve reproduces the unscaled one bit for bit
+        gen = SplitMix64(41)
+        for trial in range(12):
+            m = _random_hermitian(2 + trial % 4, gen)
+            eig = hermitian_eig(m)
+            scaled = hermitian_eig(np.ldexp(m.real, power) + 1j * np.ldexp(m.imag, power))
+            assert scaled.values.tobytes() == np.ldexp(eig.values, power).tobytes()
+            assert scaled.vectors.tobytes() == eig.vectors.tobytes()
 
     def test_eigensystem_arrays_readonly(self):
         eig = hermitian_eig(SIGMA_Y)
