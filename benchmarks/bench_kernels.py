@@ -2,8 +2,9 @@
 """Benchmark the kernels.
 
 Times the Jacobi eigensolver on batches of random Hermitian matrices and
-the permutation scan on random amplitude-vector stacks, then prints a
-table with the per-call cost of each. Run from the repository root:
+the whole Theorem-1 permutation scan, Gram blocks included, on random
+amplitude-vector stacks, then prints a table with the per-call cost of
+each. Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeat 5]
 """
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from skewsum import _kernels
-from skewsum.bounds import scan_inputs
 from skewsum.rng import SplitMix64
 
 
@@ -50,8 +50,7 @@ def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64) -> float:
 
 def bench_scan(dim: int, n: int, repeat: int, gen: SplitMix64) -> float:
     avs = np.abs(gen.normals((n, dim)))
-    _, args = scan_inputs(avs)
-    return time_call(lambda: _kernels.theorem1_scan(*args), repeat)
+    return time_call(lambda: _kernels.theorem1_scan(avs), repeat)
 
 
 def main():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -113,27 +114,49 @@ def jacobi_sweeps(a, v, tol, max_sweeps):
 # ---------------------------------------------------------------------------
 # Theorem-1 permutation scan.
 #
-# The tuple grid has one axis per observable: length 1 for the first,
-# whose permutation is pinned to the identity, and d! for each other one.
-# Pair m = (i, j), in ``itertools.combinations`` order, contributes
-#   bases[m]  = var_i + var_j
-#   grams[m]  = (a_i perm t_i) . (a_j perm t_j), shaped to broadcast over
-#               the grid: its full length on axes i and j, 1 elsewhere.
-# The objective for a tuple is c1 * (sum ss + c2 * (sum dd)^2) with
-# ss = bases + 2 g and dd = sqrt(max(bases - 2 g, 0)).
-# Returns (best_value, flat_index) where flat_index indexes the grid in C
-# order and ties within tie_tol resolve to the smallest index.
+# avs is the (N, d) stack of amplitude vectors. The tuple grid has one axis
+# per observable: length 1 for the first, whose permutation is pinned to the
+# identity, and d! for each other one, the orderings in
+# ``itertools.permutations`` order. Pair (i, j), in
+# ``itertools.combinations`` order, contributes
+#   base = var_i + var_j,  g = (a_i perm t_i) . (a_j perm t_j),
+# g shaped to broadcast over the grid: its full length on axes i and j, 1
+# elsewhere. The objective for a tuple is c1 * (sum ss + c2 * (sum dd)^2)
+# with ss = base + 2 g, dd = sqrt(max(base - 2 g, 0)), c1 = 1 / (2N - 2) and
+# c2 = 2 / (N (N - 1)); both sums start from 0.
+#
+# Returns (best_value, permutations): the maximizing tuple, one ordering
+# per observable, ties within TIE_TOL resolved to the first in C order of
+# the grid, which is lexicographic.
+#
+# The Gram blocks keep the strided layout of avs[:, perms]: numpy
+# multiplies those with its own loop, contiguous ones through BLAS, and the
+# two round differently, which would change the output bytes.
 # ---------------------------------------------------------------------------
 
+TIE_TOL = 1e-12
 
-def theorem1_scan(bases, grams, c1, c2, tie_tol):
-    shape = np.broadcast_shapes(*(g.shape for g in grams))
-    ss_tot = np.zeros(shape)
-    dd_tot = np.zeros(shape)
-    for base, g in zip(bases, grams):
+
+def theorem1_scan(avs):
+    n, d = avs.shape
+    variances = np.einsum("ij,ij->i", avs, avs)
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+    permuted = [avs[:1], *avs[:, perms][1:]]
+    grid = (1,) + (perms.shape[0],) * (n - 1)
+    ss_tot = np.zeros(grid)
+    dd_tot = np.zeros(grid)
+    for i, j in itertools.combinations(range(n), 2):
+        shape = [1] * n
+        shape[i] = grid[i]
+        shape[j] = grid[j]
+        g = (permuted[i] @ permuted[j].T).reshape(shape)
+        base = variances[i] + variances[j]
         np.add(ss_tot, base + 2.0 * g, out=ss_tot)
         np.add(dd_tot, np.sqrt(np.clip(base - 2.0 * g, 0.0, None)), out=dd_tot)
+    c1 = 1.0 / (2.0 * n - 2.0)
+    c2 = 2.0 / (n * (n - 1.0))
     flat_vals = (c1 * (ss_tot + c2 * dd_tot * dd_tot)).reshape(-1)
     best = float(flat_vals.max())
-    sel = int(np.argmax(flat_vals >= best - tie_tol))
-    return best, sel
+    sel = int(np.argmax(flat_vals >= best - TIE_TOL))
+    digits = np.unravel_index(sel, grid)
+    return best, tuple(tuple(int(k) for k in perms[t]) for t in digits)

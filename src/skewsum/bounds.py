@@ -27,7 +27,6 @@ from .states import DensityMatrix, coerce_density
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_TOLERANCE = 1e-8
-TIE_TOL = 1e-12
 
 FAMILY = {
     "theorem1": "variance",
@@ -134,12 +133,16 @@ class PermutationTuple:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A named bound: its value, whether it applies, optional diagnostics."""
+    """A named bound: its value, ``None`` where it does not apply, and
+    optional diagnostics."""
 
     name: str
     value: float | None
-    applicable: bool = True
     detail: object = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     @property
     def family(self) -> str:
@@ -162,12 +165,25 @@ class BoundValue:
         detail = data.get("detail")
         if isinstance(detail, dict) and "permutations" in detail:
             detail = PermutationTuple(tuple(tuple(p) for p in detail["permutations"]))
-        return cls(
-            name=data["name"],
-            value=data["value"],
-            applicable=bool(data["applicable"]),
-            detail=detail,
-        )
+        bv = cls(name=data["name"], value=data["value"], detail=detail)
+        if bool(data["applicable"]) != bv.applicable:
+            raise ValueError(
+                f"bound {bv.name}: applicable={data['applicable']!r} "
+                f"contradicts value={bv.value!r}"
+            )
+        return bv
+
+
+def _target(bv: BoundValue, variance_sum: float, skew_sum: float) -> float | None:
+    """The quantity ``bv`` is a lower bound on: the variance or skew sum by
+    family, or the product a product bound carries in its detail."""
+    if bv.family == "variance":
+        return variance_sum
+    if bv.family == "skew":
+        return skew_sum
+    if bv.applicable and isinstance(bv.detail, dict):
+        return bv.detail.get("delta_product")
+    return None
 
 
 @dataclass(frozen=True)
@@ -193,13 +209,7 @@ class BoundReport:
 
     def target_for(self, bv: BoundValue) -> float | None:
         """The quantity the bound is a lower bound on."""
-        if bv.family == "variance":
-            return self.variance_sum
-        if bv.family == "skew":
-            return self.skew_sum
-        if bv.applicable and isinstance(bv.detail, dict):
-            return bv.detail.get("delta_product")
-        return None
+        return _target(bv, self.variance_sum, self.skew_sum)
 
     def to_dict(self) -> dict:
         return {
@@ -354,39 +364,8 @@ def bound_theorem1(
     """
     state, obs = _coerce(rho, observables)
     _check_budget(obs, budget)
-    perms, args = scan_inputs(_data(state, obs, data).amplitudes)
-    best, sel = _kernels.theorem1_scan(*args)
-    digits = np.unravel_index(sel, (1,) + (perms.shape[0],) * (obs.n - 1))
-    tup = tuple(tuple(int(k) for k in perms[t]) for t in digits)
-    return BoundValue("theorem1", float(best), True, PermutationTuple(tup))
-
-
-def scan_inputs(avs: np.ndarray):
-    """Precompute the Gram data the permutation-scan kernel consumes.
-
-    ``avs`` is the (N, d) stack of amplitude vectors. Returns (perms, args):
-    ``perms`` lists the d! orderings, the identity first, and ``args``
-    unpacks into :func:`_kernels.theorem1_scan`. The first observable keeps
-    the identity ordering, so its tuple-grid axis has length 1.
-    """
-    n, d = avs.shape
-    variances = np.einsum("ij,ij->i", avs, avs)
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-    # one (orderings, d) block per observable; the first has only the identity.
-    # The blocks keep the strided layout of avs[:, perms]: numpy multiplies
-    # those with its own loop, contiguous ones through BLAS, and the two
-    # round differently, which would change the output bytes.
-    permuted = [avs[:1], *avs[:, perms][1:]]
-    i, j = _pairs(n)
-    grams = []
-    for pi, pj in zip(i, j):
-        shape = [1] * n
-        shape[pi] = permuted[pi].shape[0]
-        shape[pj] = permuted[pj].shape[0]
-        grams.append((permuted[pi] @ permuted[pj].T).reshape(shape))
-    c1 = 1.0 / (2.0 * n - 2.0)
-    c2 = 2.0 / (n * (n - 1.0))
-    return perms, (variances[i] + variances[j], grams, c1, c2, TIE_TOL)
+    best, perms = _kernels.theorem1_scan(_data(state, obs, data).amplitudes)
+    return BoundValue("theorem1", best, PermutationTuple(perms))
 
 
 def bound_song(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
@@ -424,7 +403,7 @@ def bound_mp_quadratic(rho, observables, *, data: InstanceData | None = None) ->
     """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
     q = _data(rho, observables, data)
     if q.n != 2:
-        return BoundValue("mp_quadratic", None, applicable=False)
+        return BoundValue("mp_quadratic", None)
     return BoundValue("mp_quadratic", 0.5 * float(q.var_plus[0]))
 
 
@@ -436,7 +415,7 @@ def bound_robertson(rho, observables, *, data: InstanceData | None = None) -> Bo
     """
     q = _data(rho, observables, data)
     if q.n != 2:
-        return BoundValue("robertson", None, applicable=False)
+        return BoundValue("robertson", None)
     val = 0.5 * abs(complex(q.moments[0, 1] - q.moments[1, 0]))
     product = math.sqrt(q.variances[0]) * math.sqrt(q.variances[1])
     return BoundValue("robertson", val, detail={"delta_product": product})
@@ -484,7 +463,7 @@ def bound_chen_skew(rho, observables, *, data: InstanceData | None = None) -> Bo
     q = _data(rho, observables, data)
     n = q.n
     if n < 3:
-        return BoundValue("chen_skew", None, applicable=False)
+        return BoundValue("chen_skew", None)
     val = (float(q.skew_plus.sum()) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
     return BoundValue("chen_skew", val)
 
@@ -520,7 +499,7 @@ def _tightest(bounds, family):
     best_name = None
     best_val = -math.inf
     for b in bounds:
-        if b.family != family or not b.applicable or b.value is None:
+        if b.family != family or not b.applicable:
             continue
         if b.value > best_val:
             best_name, best_val = b.name, b.value
@@ -571,14 +550,9 @@ def evaluate_all(
 
     violations = []
     for b in values:
-        if not b.applicable or b.value is None:
+        if not b.applicable:
             continue
-        if b.family == "variance":
-            target = variance_sum
-        elif b.family == "skew":
-            target = skew_sum
-        else:
-            target = b.detail["delta_product"]
+        target = _target(b, variance_sum, skew_sum)
         if not (math.isfinite(b.value) and math.isfinite(target)):
             raise ValueError(f"bound {b.name} is not finite: {b.value!r} against {target!r}")
         if b.value > target + tolerance * max(1.0, target):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -61,12 +62,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: str, columns, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    _write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +238,7 @@ def cmd_evaluate(args) -> int:
         if args.output is None:
             sys.stdout.write(text)
         else:
-            with open(args.output, "w") as f:
-                f.write(text)
+            _write_text(args.output, text)
     return 2 if report.violations else 0
 
 
@@ -365,9 +374,7 @@ def cmd_fuzz(args) -> int:
     ]
     _write_csv(args.output, _FUZZ_COLUMNS, rows)
     if reproducers:
-        with open(args.output + ".violations.json", "w") as f:
-            json.dump(reproducers, f, indent=2)
-            f.write("\n")
+        _write_text(args.output + ".violations.json", json.dumps(reproducers, indent=2) + "\n")
         return 2
     return 0
 

@@ -72,24 +72,26 @@ class EigenConvergenceError(LinalgError):
 class HermitianMatrix:
     """A validated, immutable complex Hermitian matrix.
 
-    Construction checks the conjugate-transpose deviation against ``atol``
-    and stores the hermitized average ``(M + M^dag) / 2``. The eigensystem
+    Construction checks the conjugate-transpose deviation against
+    ``HERMITIAN_ATOL`` and stores the hermitized average
+    ``M / 2 + M^dag / 2``, halved before the sum so that entries near the
+    float64 maximum do not overflow. The eigensystem
     is computed on first use and cached; the matrix never changes, so the
     cache never goes stale.
     """
 
     __slots__ = ("mat", "_eigen")
 
-    def __init__(self, mat, atol: float = HERMITIAN_ATOL):
+    def __init__(self, mat):
         m = np.array(mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("matrix has non-finite entries")
         deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if deviation > atol:
-            raise NotHermitianError(deviation, atol)
-        m = (m + m.conj().T) / 2.0
+        if deviation > HERMITIAN_ATOL:
+            raise NotHermitianError(deviation, HERMITIAN_ATOL)
+        m = m / 2.0 + m.conj().T / 2.0
         m.setflags(write=False)
         self.mat = m
         self._eigen = None
@@ -195,7 +197,7 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def sqrt_psd(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> HermitianMatrix:
+def sqrt_psd(matrix) -> HermitianMatrix:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues below ``PSD_EIG_FLOOR`` raise; eigenvalues below
@@ -204,7 +206,7 @@ def sqrt_psd(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> HermitianMatrix:
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
-    eig = hermitian_eig(matrix, max_sweeps=max_sweeps)
+    eig = hermitian_eig(matrix)
     lo = float(eig.values[0]) if eig.dim else 0.0
     if lo < PSD_EIG_FLOOR:
         raise NotPositiveSemidefiniteError(lo)

@@ -14,7 +14,7 @@ Three built-in families, all with N = 3 observables:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,15 +117,18 @@ def example3_sum_oracle(theta: float, phi: float) -> float:
 class Scenario:
     name: str
     make: object
-    uses_phi: bool
     default_phi: float | None
     theta_range: tuple
 
+    @property
+    def uses_phi(self) -> bool:
+        return self.default_phi is not None
+
 
 SCENARIOS = {
-    "example1": Scenario("example1", example1_instance, True, math.pi / 4, (0.0, math.pi)),
-    "example2": Scenario("example2", example2_instance, False, None, (0.0, 2.0 * math.pi)),
-    "example3": Scenario("example3", example3_instance, True, math.pi / 2, (0.0, math.pi)),
+    "example1": Scenario("example1", example1_instance, math.pi / 4, (0.0, math.pi)),
+    "example2": Scenario("example2", example2_instance, None, (0.0, 2.0 * math.pi)),
+    "example3": Scenario("example3", example3_instance, math.pi / 2, (0.0, math.pi)),
 }
 DEFAULT_GRID_POINTS = 201
 
@@ -157,7 +160,6 @@ class SweepSpec:
     phi: float | None = None
     budget: int = DEFAULT_BUDGET
     tolerance: float = DEFAULT_TOLERANCE
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -193,18 +195,13 @@ def run_sweep(spec: SweepSpec):
     scen = SCENARIOS[spec.scenario]
     thetas = grid_points(spec.start, spec.stop, spec.step)
     phi = spec.phi if spec.phi is not None else scen.default_phi
+    param_names = ["theta", "phi"] if scen.uses_phi else ["theta"]
 
     columns = None
     rows = []
     for theta in thetas:
-        if scen.uses_phi:
-            state, obs = scen.make(float(theta), phi)
-            params = [float(theta), float(phi)]
-            param_names = ["theta", "phi"]
-        else:
-            state, obs = scen.make(float(theta))
-            params = [float(theta)]
-            param_names = ["theta"]
+        params = [float(theta), float(phi)] if scen.uses_phi else [float(theta)]
+        state, obs = scen.make(*params)
         report = evaluate_all(
             state, obs, budget=spec.budget, tolerance=spec.tolerance
         )

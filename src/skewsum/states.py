@@ -9,7 +9,6 @@ import numpy as np
 
 from .linalg import (
     PSD_EIG_FLOOR,
-    EigenSystem,
     HermitianMatrix,
     NotPositiveSemidefiniteError,
     _spectral_sqrt,
@@ -49,40 +48,27 @@ class BlochVector:
         return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
 
 
-class DensityMatrix:
+class DensityMatrix(HermitianMatrix):
     """Validated density matrix with a cached eigensystem and square root.
 
-    Construction requires a Hermitian matrix with unit trace (within
-    ``TRACE_ATOL``) and eigenvalues above ``PSD_EIG_FLOOR``. The
-    eigendecomposition, cached on the underlying :class:`HermitianMatrix`,
-    runs once, up front, and feeds both validation and the cached principal
-    square root used by skew-information evaluations.
+    Construction validates the matrix as a :class:`HermitianMatrix`, then
+    requires unit trace (within ``TRACE_ATOL``) and eigenvalues above
+    ``PSD_EIG_FLOOR``. The eigendecomposition runs once, up front, and is
+    cached; it feeds both that check and the cached principal square root
+    used by skew-information evaluations.
     """
 
-    __slots__ = ("hermitian", "_sqrt")
+    __slots__ = ("_sqrt",)
 
     def __init__(self, mat):
-        h = mat if isinstance(mat, HermitianMatrix) else HermitianMatrix(mat)
-        trace = float(np.trace(h.mat).real)
+        super().__init__(mat)
+        trace = float(np.trace(self.mat).real)
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
-        lo = float(h.eigensystem.values[0])
+        lo = float(self.eigensystem.values[0])
         if lo < PSD_EIG_FLOOR:
             raise NotPositiveSemidefiniteError(lo)
-        self.hermitian = h
         self._sqrt = None
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.hermitian.mat
-
-    @property
-    def dim(self) -> int:
-        return self.hermitian.dim
-
-    @property
-    def eigensystem(self) -> EigenSystem:
-        return self.hermitian.eigensystem
 
     def sqrt(self) -> HermitianMatrix:
         """Principal square root, computed once from the cached eigensystem."""
@@ -92,9 +78,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.sum(self.eigensystem.values**2))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6f})"

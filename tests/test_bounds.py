@@ -27,7 +27,6 @@ from skewsum.bounds import (
     bound_theorem2b,
     bound_zhang,
     evaluate_all,
-    scan_inputs,
 )
 from skewsum.linalg import commutator
 from skewsum.measures import amplitude_vector, skew_information, variance
@@ -339,9 +338,16 @@ class TestEvaluateAll:
         assert set(FAMILY.values()) == {"variance", "skew", "product"}
 
     def test_bound_value_serialization_with_permutations(self):
-        bv = BoundValue("theorem1", 1.5, True, PermutationTuple(((0, 1), (1, 0))))
+        bv = BoundValue("theorem1", 1.5, PermutationTuple(((0, 1), (1, 0))))
         clone = BoundValue.from_dict(bv.to_dict())
         assert clone == bv
+
+    @pytest.mark.parametrize("value,applicable", [(1.5, False), (None, True)])
+    def test_bound_value_rejects_contradictory_applicable(self, value, applicable):
+        data = BoundValue("song", value).to_dict()
+        data["applicable"] = applicable
+        with pytest.raises(ValueError, match="contradicts"):
+            BoundValue.from_dict(data)
 
     def test_standalone_bounds_match_the_report(self, make_instance):
         funcs = {
@@ -389,14 +395,13 @@ def _pairwise_reference(state, obs):
     skew_minus = [skew_information(state, mats[i] - mats[j]) for i, j in pairs]
     c = 2.0 / (n * (n - 1.0))
     amps = np.stack([amplitude_vector(state, m) for m in mats])
-    _, args = scan_inputs(amps)
     sorted_amps = np.sort(amps, axis=1)
     chen_norms = [float(np.sum((sorted_amps[i] + sorted_amps[j]) ** 2)) for i, j in pairs]
     h = 1.0 if n == 2 else 0.0
     ref = {
         "variance_sum": sum(variance(state, m) for m in mats),
         "skew_sum": sum(skew_information(state, m) for m in mats),
-        "theorem1": float(_kernels.theorem1_scan(*args)[0]),
+        "theorem1": _kernels.theorem1_scan(amps)[0],
         "song": (variance(state, sum(mats)) + c * sum(map(math.sqrt, var_minus)) ** 2) / n,
         "chen_variance": (
             sum(chen_norms) + (h - 1.0) / (n - 1.0) ** 2 * sum(map(math.sqrt, chen_norms)) ** 2

@@ -60,6 +60,14 @@ class TestEvaluate:
         header = lines[0].split(",")
         assert row[header.index("mp_quadratic")] == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, fmt):
+        path = _write_problem(tmp_path, PAULI_PROBLEM)
+        out = tmp_path / "missing" / "report.out"
+        rc = cli.main(["evaluate", "--input", path, "--format", fmt, "--output", str(out)])
+        assert rc == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
     def test_density_and_bloch_state_kinds(self, tmp_path):
         for state in (
             {"kind": "density", "matrix": [[0.5, 0], [0, 0.5]]},
@@ -256,6 +264,12 @@ class TestSweep:
         first = lines[1].split(",")
         assert float(first[1]) == 0.5
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        rc = cli.main(["sweep", "--scenario", "example2", "--theta-grid", "0:1:0.5", "--output", str(out)])
+        assert rc == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
     def test_phi_rejected_for_example2(self, tmp_path, capsys):
         rc = cli.main([
             "sweep",
@@ -342,6 +356,12 @@ class TestFuzz:
             assert float(cells[4]) > -1e-8
             assert cells[6] == "0"
         assert not (tmp_path / "fuzz.csv.violations.json").exists()
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fuzz.csv"
+        rc = cli.main(["fuzz", "--trials", "1", "--dims", "2", "--ns", "2", "--output", str(out)])
+        assert rc == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
 
     def test_zero_trials_writes_header_only(self, tmp_path):
         out = tmp_path / "fuzz.csv"

@@ -1,5 +1,6 @@
 """The kernels: Jacobi sweeps and the Theorem-1 permutation scan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 import skewsum
 from skewsum import _kernels
-from skewsum.bounds import scan_inputs
 from skewsum.rng import SplitMix64
 from skewsum.scenarios import L_X, L_Y, L_Z
 from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, random_pure
@@ -40,41 +40,43 @@ def test_jacobi_numpy_diagonalizes():
         assert np.max(np.abs(rec - m)) < 1e-11 * max(1.0, float(np.linalg.norm(m)))
 
 
-def test_scan_numpy_matches_direct_enumeration():
-    import itertools
+def _theorem1_objective(avs, tup):
+    n = avs.shape[0]
+    c1 = 1.0 / (2.0 * n - 2.0)
+    c2 = 2.0 / (n * (n - 1.0))
+    ss = 0.0
+    dd = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            ai = avs[i][list(tup[i])]
+            aj = avs[j][list(tup[j])]
+            ss += float(np.sum((ai + aj) ** 2))
+            dd += float(np.linalg.norm(ai - aj))
+    return c1 * (ss + c2 * dd * dd)
 
+
+def test_scan_numpy_matches_direct_enumeration():
     gen = SplitMix64(33)
     for trial in range(25):
         n = 2 + trial % 3
         d = 2 + (trial // 3) % 2
         avs = np.abs(gen.normals((n, d)))
-        perms_arr, args = scan_inputs(avs)
-        best, sel = _kernels.theorem1_scan(*args)
+        best, best_perms = _kernels.theorem1_scan(avs)
 
         perms = list(itertools.permutations(range(d)))
-        c1 = 1.0 / (2.0 * n - 2.0)
-        c2 = 2.0 / (n * (n - 1.0))
-        ref_best = -np.inf
-        for tup in itertools.product(*([perms[0:1]] + [perms] * (n - 1))):
-            ss = 0.0
-            dd = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ai = avs[i][list(tup[i])]
-                    aj = avs[j][list(tup[j])]
-                    ss += float(np.sum((ai + aj) ** 2))
-                    dd += float(np.linalg.norm(ai - aj))
-            ref_best = max(ref_best, c1 * (ss + c2 * dd * dd))
+        ref_best = max(
+            _theorem1_objective(avs, tup)
+            for tup in itertools.product(*([perms[0:1]] + [perms] * (n - 1)))
+        )
         assert best == pytest.approx(ref_best, abs=1e-10)
+        assert len(best_perms) == n and best_perms[0] == perms[0]
+        assert _theorem1_objective(avs, best_perms) == pytest.approx(best, abs=1e-10)
 
 
 def test_scan_tie_selection_is_first_index():
     # identical amplitude vectors make every tuple optimal; the scan must
     # settle on the lexicographically first one
-    avs = np.ones((3, 3))
-    _, args = scan_inputs(avs)
-    _, sel = _kernels.theorem1_scan(*args)
-    assert sel == 0
+    assert _kernels.theorem1_scan(np.ones((3, 3)))[1] == ((0, 1, 2),) * 3
 
 
 # ---------------------------------------------------------------------------

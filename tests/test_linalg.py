@@ -73,6 +73,19 @@ class TestHermitianMatrix:
             assert isinstance(combo, HermitianMatrix)
         np.testing.assert_allclose(as_matrix(a + b), a.mat + b.mat)
 
+    def test_hermitizing_near_the_float64_maximum_does_not_overflow(self):
+        # (M + M^dag) / 2 overflowed to inf+nanj here, and the solver then
+        # returned an infinite eigenvalue without an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = HermitianMatrix([[1.5e308, 0], [0, 1]])
+            assert diag.mat.tobytes() == np.diag([1.5e308, 1.0]).astype(complex).tobytes()
+            assert diag.eigensystem.values.tolist() == [1.0, 1.5e308]
+            m = np.array([[1e308, 1.2e308], [1.2e308, -1e308]])
+            eig = HermitianMatrix(m).eigensystem
+        ref = np.ldexp(np.linalg.eigvalsh(np.ldexp(m, -4)), 4)
+        np.testing.assert_allclose(eig.values, ref, rtol=1e-14, atol=0.0)
+
     def test_rejects_complex_scale(self):
         with pytest.raises(TypeError):
             HermitianMatrix(SIGMA_Z) * 1j

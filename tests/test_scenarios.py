@@ -224,6 +224,12 @@ class TestSweep:
             assert len(row) == len(columns)
             assert row[var_idx] == pytest.approx(2.0, abs=1e-10)
 
+    def test_direct_spec_without_phi_uses_the_default(self):
+        spec = SweepSpec(scenario="example1", start=0.0, stop=1.0, step=0.5, phi=None)
+        columns, rows = run_sweep(spec)
+        assert columns[:2] == ["theta", "phi"]
+        assert [row[1] for row in rows] == [SCENARIOS["example1"].default_phi] * 3
+
     def test_run_sweep_example2_has_no_phi_column(self):
         spec = SweepSpec.default("example2", step=math.pi / 2.0)
         columns, rows = run_sweep(spec)
