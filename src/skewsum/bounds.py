@@ -1,8 +1,10 @@
 """Lower bounds on sums of variances and of skew informations.
 
-Every bound function takes a state and a collection of observables and
-returns a :class:`BoundValue`. ``evaluate_all`` runs the whole catalog,
-flags numerical violations, and picks the tightest bound per family.
+The catalog is one table, :data:`BOUNDS`: one entry per bound with its
+name, family, the observable counts it applies to, and a formula over the
+per-instance :class:`InstanceData`. ``evaluate_all`` evaluates every entry
+on one instance, flags numerical violations, and picks the tightest bound
+per family; each ``bound_<name>(rho, observables)`` evaluates one entry.
 
 Families:
 
@@ -14,8 +16,8 @@ Families:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,20 +30,14 @@ from .states import DensityMatrix, coerce_density
 DEFAULT_BUDGET = 10**6
 DEFAULT_TOLERANCE = 1e-8
 
-FAMILY = {
-    "theorem1": "variance",
-    "song": "variance",
-    "chen_variance": "variance",
-    "mp_quadratic": "variance",
-    "robertson": "product",
-    "theorem2a": "skew",
-    "theorem2b": "skew",
-    "zhang": "skew",
-    "chen_skew": "skew",
-    "parallelogram_sum": "skew",
-    "parallelogram_diff": "skew",
-}
-CATALOG = tuple(FAMILY)
+
+def _count_text(x: int) -> str:
+    """``x`` in decimal, or its order of magnitude where it has more digits
+    than Python converts to ``str``."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"about {'-' if x < 0 else ''}10^{math.log10(abs(x)):.1f}"
 
 
 class BudgetExceededError(Exception):
@@ -51,8 +47,17 @@ class BudgetExceededError(Exception):
         self.tuples = int(tuples)
         self.budget = int(budget)
         super().__init__(
-            f"permutation search needs {self.tuples} tuples, budget is {self.budget}"
+            f"permutation search needs {_count_text(self.tuples)} tuples, "
+            f"budget is {_count_text(self.budget)}"
         )
+
+
+def check_budget(dim: int, n: int, budget: int):
+    """Raise :class:`BudgetExceededError` if Theorem 1's exhaustive search
+    over (d!)^(N-1) permutation tuples would exceed ``budget``."""
+    tuples = math.factorial(dim) ** (n - 1)
+    if tuples > budget:
+        raise BudgetExceededError(tuples, budget)
 
 
 class ObservableSet:
@@ -92,16 +97,6 @@ class ObservableSet:
 
     def __getitem__(self, i):
         return self.observables[i]
-
-    def pairs(self):
-        """Index pairs (i, j) with i < j."""
-        return itertools.combinations(range(self.n), 2)
-
-    def total(self) -> HermitianMatrix:
-        tot = self.observables[0]
-        for o in self.observables[1:]:
-            tot = tot + o
-        return tot
 
 
 @dataclass(frozen=True)
@@ -165,6 +160,10 @@ class BoundValue:
         detail = data.get("detail")
         if isinstance(detail, dict) and "permutations" in detail:
             detail = PermutationTuple(tuple(tuple(p) for p in detail["permutations"]))
+        if data["name"] not in FAMILY:
+            raise ValueError(
+                f"name: unknown bound {data['name']!r}, expected one of {', '.join(CATALOG)}"
+            )
         bv = cls(name=data["name"], value=data["value"], detail=detail)
         if bool(data["applicable"]) != bv.applicable:
             raise ValueError(
@@ -245,7 +244,7 @@ def _coerce(rho, observables) -> tuple[DensityMatrix, ObservableSet]:
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j, in ``ObservableSet.pairs`` order."""
+    """Index arrays (i, j) of the pairs i < j, in lexicographic order."""
     i, j = np.triu_indices(n, 1)
     i.setflags(write=False)
     j.setflags(write=False)
@@ -321,34 +320,147 @@ class InstanceData:
         self.amplitudes = np.stack([amplitude_vector(state, o) for o in obs])
 
 
-def _data(rho, observables, data: InstanceData | None) -> InstanceData:
-    return data if data is not None else InstanceData(rho, observables)
-
-
-def _check_budget(obs: ObservableSet, budget: int):
-    tuples = math.factorial(obs.dim) ** (obs.n - 1)
-    if tuples > budget:
-        raise BudgetExceededError(tuples, budget)
-
-
 def _root_sum_sq(values: np.ndarray) -> float:
     """(sum_k sqrt(values_k))^2."""
     root = float(np.sqrt(values).sum())
     return root * root
 
 
-# ---------------------------------------------------------------------------
-# variance-family bounds
-#
-# Each bound takes (rho, observables) and builds the instance data itself,
-# unless a prebuilt ``data`` for the same instance is passed, as
-# ``evaluate_all`` does.
-# ---------------------------------------------------------------------------
+# the formulas: each maps the instance data to (value, detail)
+def _theorem1(q: InstanceData):
+    """The permutation scan's maximum and its maximizing tuple."""
+    best, perms = _kernels.theorem1_scan(q.amplitudes)
+    return best, PermutationTuple(perms)
 
 
-def bound_theorem1(
-    rho, observables, budget: int = DEFAULT_BUDGET, *, data: InstanceData | None = None
-) -> BoundValue:
+def _song(q: InstanceData):
+    """Variance bound (1/N) * ( (Delta sum A)^2
+    + (2 / (N (N - 1))) * (sum_{i<j} Delta(A_i - A_j))^2 )."""
+    n = q.n
+    val = (q.var_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.var_minus)) / n
+    return val, None
+
+
+def _chen_variance(q: InstanceData):
+    """Variance bound built from ascending-sorted amplitude vectors.
+
+    With b_i the sorted amplitude vector of A_i and the step h = 1 at N = 2,
+    0 otherwise:
+
+        (1 / (2^h N - 2)) * ( sum_{i<j} ||b_i + b_j||^2
+                              + ((h - 1) / (N - 1)^2) * (sum_{i<j} ||b_i + b_j||)^2 )
+    """
+    n = q.n
+    b = np.sort(q.amplitudes, axis=1)
+    i, j = _pairs(n)
+    s = b[i] + b[j]
+    sq_norms = np.einsum("pk,pk->p", s, s)
+    h = 1.0 if n == 2 else 0.0
+    pref = 1.0 / (2.0**h * n - 2.0)
+    coef = (h - 1.0) / (n - 1.0) ** 2
+    val = pref * (float(sq_norms.sum()) + coef * _root_sum_sq(sq_norms))
+    return val, None
+
+
+def _mp_quadratic(q: InstanceData):
+    """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
+    return 0.5 * float(q.var_plus[0]), None
+
+
+def _robertson(q: InstanceData):
+    """Product bound Delta A * Delta B >= (1/2) |tr(rho [A, B])|.
+
+    The detail carries the product it bounds, since the target is not the
+    variance sum.
+    """
+    val = 0.5 * abs(complex(q.moments[0, 1] - q.moments[1, 0]))
+    product = math.sqrt(q.variances[0]) * math.sqrt(q.variances[1])
+    return val, {"delta_product": product}
+
+
+def _theorem2a(q: InstanceData):
+    """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i + A_j)))^2
+    + sum_{i<j} I(A_i - A_j) )."""
+    n = q.n
+    val = (
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + float(q.skew_minus.sum())
+    ) / (2.0 * n - 2.0)
+    return val, None
+
+
+def _theorem2b(q: InstanceData):
+    """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2
+    + sum_{i<j} I(A_i + A_j) )."""
+    n = q.n
+    val = (
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + float(q.skew_plus.sum())
+    ) / (2.0 * n - 2.0)
+    return val, None
+
+
+def _zhang(q: InstanceData):
+    """Skew bound (1/N) * ( I(sum A)
+    + (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2 )."""
+    n = q.n
+    val = (q.skew_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus)) / n
+    return val, None
+
+
+def _chen_skew(q: InstanceData):
+    """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
+    - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
+    n = q.n
+    val = (float(q.skew_plus.sum()) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
+    return val, None
+
+
+def _parallelogram_sum(q: InstanceData):
+    """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
+    return float(q.skew_plus.sum()) / (2.0 * q.n - 2.0), None
+
+
+def _parallelogram_diff(q: InstanceData):
+    """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i - A_j)."""
+    return float(q.skew_minus.sum()) / (2.0 * q.n - 2.0), None
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One catalog entry: the bound's name and family, the observable counts
+    ``min_n <= N <= max_n`` it applies to, and its formula."""
+
+    name: str
+    family: str
+    formula: Callable[[InstanceData], tuple]
+    min_n: int = 2
+    max_n: float = math.inf
+
+    def evaluate(self, q: InstanceData) -> BoundValue:
+        """The formula's value and detail, or ``None`` outside the counts."""
+        if not self.min_n <= q.n <= self.max_n:
+            return BoundValue(self.name, None)
+        value, detail = self.formula(q)
+        return BoundValue(self.name, value, detail)
+
+
+BOUNDS = (
+    Bound("theorem1", "variance", _theorem1),
+    Bound("song", "variance", _song),
+    Bound("chen_variance", "variance", _chen_variance),
+    Bound("mp_quadratic", "variance", _mp_quadratic, max_n=2),
+    Bound("robertson", "product", _robertson, max_n=2),
+    Bound("theorem2a", "skew", _theorem2a),
+    Bound("theorem2b", "skew", _theorem2b),
+    Bound("zhang", "skew", _zhang),
+    Bound("chen_skew", "skew", _chen_skew, min_n=3),
+    Bound("parallelogram_sum", "skew", _parallelogram_sum),
+    Bound("parallelogram_diff", "skew", _parallelogram_diff),
+)
+FAMILY = {b.name: b.family for b in BOUNDS}
+CATALOG = tuple(FAMILY)
+
+
+def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
     """Permutation-maximized amplitude-vector bound on the variance sum.
 
     For amplitude vectors a_i of each observable, maximizes
@@ -363,136 +475,33 @@ def bound_theorem1(
     :class:`PermutationTuple`, ties broken lexicographically.
     """
     state, obs = _coerce(rho, observables)
-    _check_budget(obs, budget)
-    best, perms = _kernels.theorem1_scan(_data(state, obs, data).amplitudes)
-    return BoundValue("theorem1", best, PermutationTuple(perms))
+    check_budget(obs.dim, obs.n, budget)
+    return BOUNDS[0].evaluate(InstanceData(state, obs))  # BOUNDS[0] is theorem1
 
 
-def bound_song(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Variance bound (1/N) * ( (Delta sum A)^2
-    + (2 / (N (N - 1))) * (sum_{i<j} Delta(A_i - A_j))^2 )."""
-    q = _data(rho, observables, data)
-    n = q.n
-    val = (q.var_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.var_minus)) / n
-    return BoundValue("song", val)
+def _standalone(bound: Bound):
+    """``bound_<name>(rho, observables)``: the entry on its own instance data."""
+
+    def func(rho, observables) -> BoundValue:
+        return bound.evaluate(InstanceData(rho, observables))
+
+    func.__name__ = func.__qualname__ = f"bound_{bound.name}"
+    func.__doc__ = bound.formula.__doc__
+    return func
 
 
-def bound_chen_variance(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Variance bound built from ascending-sorted amplitude vectors.
-
-    With b_i the sorted amplitude vector of A_i and the step h = 1 at N = 2,
-    0 otherwise:
-
-        (1 / (2^h N - 2)) * ( sum_{i<j} ||b_i + b_j||^2
-                              + ((h - 1) / (N - 1)^2) * (sum_{i<j} ||b_i + b_j||)^2 )
-    """
-    q = _data(rho, observables, data)
-    n = q.n
-    b = np.sort(q.amplitudes, axis=1)
-    i, j = _pairs(n)
-    s = b[i] + b[j]
-    sq_norms = np.einsum("pk,pk->p", s, s)
-    h = 1.0 if n == 2 else 0.0
-    pref = 1.0 / (2.0**h * n - 2.0)
-    coef = (h - 1.0) / (n - 1.0) ** 2
-    val = pref * (float(sq_norms.sum()) + coef * _root_sum_sq(sq_norms))
-    return BoundValue("chen_variance", val)
-
-
-def bound_mp_quadratic(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
-    q = _data(rho, observables, data)
-    if q.n != 2:
-        return BoundValue("mp_quadratic", None)
-    return BoundValue("mp_quadratic", 0.5 * float(q.var_plus[0]))
-
-
-def bound_robertson(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Product bound Delta A * Delta B >= (1/2) |tr(rho [A, B])|.
-
-    The detail carries the product it bounds, since the target is not the
-    variance sum.
-    """
-    q = _data(rho, observables, data)
-    if q.n != 2:
-        return BoundValue("robertson", None)
-    val = 0.5 * abs(complex(q.moments[0, 1] - q.moments[1, 0]))
-    product = math.sqrt(q.variances[0]) * math.sqrt(q.variances[1])
-    return BoundValue("robertson", val, detail={"delta_product": product})
-
-
-# ---------------------------------------------------------------------------
-# skew-family bounds
-# ---------------------------------------------------------------------------
-
-
-def bound_theorem2a(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i + A_j)))^2
-    + sum_{i<j} I(A_i - A_j) )."""
-    q = _data(rho, observables, data)
-    n = q.n
-    val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + float(q.skew_minus.sum())
-    ) / (2.0 * n - 2.0)
-    return BoundValue("theorem2a", val)
-
-
-def bound_theorem2b(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2
-    + sum_{i<j} I(A_i + A_j) )."""
-    q = _data(rho, observables, data)
-    n = q.n
-    val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + float(q.skew_plus.sum())
-    ) / (2.0 * n - 2.0)
-    return BoundValue("theorem2b", val)
-
-
-def bound_zhang(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1/N) * ( I(sum A)
-    + (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2 )."""
-    q = _data(rho, observables, data)
-    n = q.n
-    val = (q.skew_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus)) / n
-    return BoundValue("zhang", val)
-
-
-def bound_chen_skew(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
-    - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
-    q = _data(rho, observables, data)
-    n = q.n
-    if n < 3:
-        return BoundValue("chen_skew", None)
-    val = (float(q.skew_plus.sum()) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
-    return BoundValue("chen_skew", val)
-
-
-def bound_parallelogram_sum(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
-    q = _data(rho, observables, data)
-    return BoundValue("parallelogram_sum", float(q.skew_plus.sum()) / (2.0 * q.n - 2.0))
-
-
-def bound_parallelogram_diff(rho, observables, *, data: InstanceData | None = None) -> BoundValue:
-    """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i - A_j)."""
-    q = _data(rho, observables, data)
-    return BoundValue("parallelogram_diff", float(q.skew_minus.sum()) / (2.0 * q.n - 2.0))
-
-
-_BOUND_FUNCS = {
-    "theorem1": bound_theorem1,
-    "song": bound_song,
-    "chen_variance": bound_chen_variance,
-    "mp_quadratic": bound_mp_quadratic,
-    "robertson": bound_robertson,
-    "theorem2a": bound_theorem2a,
-    "theorem2b": bound_theorem2b,
-    "zhang": bound_zhang,
-    "chen_skew": bound_chen_skew,
-    "parallelogram_sum": bound_parallelogram_sum,
-    "parallelogram_diff": bound_parallelogram_diff,
-}
+# name -> public bound function; evaluate_all reads the table, not this mapping
+_BOUND_FUNCS = {b.name: _standalone(b) for b in BOUNDS} | {"theorem1": bound_theorem1}
+bound_song = _BOUND_FUNCS["song"]
+bound_chen_variance = _BOUND_FUNCS["chen_variance"]
+bound_mp_quadratic = _BOUND_FUNCS["mp_quadratic"]
+bound_robertson = _BOUND_FUNCS["robertson"]
+bound_theorem2a = _BOUND_FUNCS["theorem2a"]
+bound_theorem2b = _BOUND_FUNCS["theorem2b"]
+bound_zhang = _BOUND_FUNCS["zhang"]
+bound_chen_skew = _BOUND_FUNCS["chen_skew"]
+bound_parallelogram_sum = _BOUND_FUNCS["parallelogram_sum"]
+bound_parallelogram_diff = _BOUND_FUNCS["parallelogram_diff"]
 
 
 def _tightest(bounds, family):
@@ -516,8 +525,8 @@ def evaluate_all(
     """Evaluate the full bound catalog and assemble a :class:`BoundReport`.
 
     The Theorem-1 budget is checked first; then the instance data is built
-    once and every bound is a formula over it. A bound is flagged as a
-    violation when its value exceeds its target by more than
+    once and every catalog entry is evaluated over it. A bound is flagged
+    as a violation when its value exceeds its target by more than
     ``tolerance * max(1, target)``; with correct arithmetic that never
     happens, so the violations list doubles as a numerical check. A
     non-finite sum, bound or target raises ``ValueError`` rather than
@@ -528,17 +537,11 @@ def evaluate_all(
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
     state, obs = _coerce(rho, observables)
-    _check_budget(obs, budget)
+    check_budget(obs.dim, obs.n, budget)
     # float64 overflow is reported by the finiteness checks below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         data = InstanceData(state, obs)
-        values = []
-        for name in CATALOG:
-            func = _BOUND_FUNCS[name]
-            if name == "theorem1":
-                values.append(func(state, obs, budget=budget, data=data))
-            else:
-                values.append(func(state, obs, data=data))
+        values = tuple(b.evaluate(data) for b in BOUNDS)
 
     variance_sum = float(data.variances.sum())
     skew_sum = float(data.skews.sum())
@@ -561,7 +564,7 @@ def evaluate_all(
     return BoundReport(
         variance_sum=variance_sum,
         skew_sum=skew_sum,
-        bounds=tuple(values),
+        bounds=values,
         violations=tuple(violations),
         tightest_variance=_tightest(values, "variance"),
         tightest_skew=_tightest(values, "skew"),

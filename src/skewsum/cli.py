@@ -30,6 +30,7 @@ from .bounds import (
     BoundReport,
     BudgetExceededError,
     ObservableSet,
+    check_budget,
     evaluate_all,
 )
 from .linalg import LinalgError
@@ -332,6 +333,12 @@ def cmd_fuzz(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     if not math.isfinite(tolerance):
         raise CliInputError(f"--tolerance: expected a finite number, got {tolerance!r}")
+    # fail before the first trial, not after the last: the budget of the
+    # largest cell, which needs the most tuples, then the output path,
+    # which a failed check leaves untouched
+    if args.trials:
+        check_budget(max(dims), max(ns), budget)
+    _write_text(args.output, "")
 
     stats = {}
     reproducers = []

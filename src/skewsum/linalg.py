@@ -223,17 +223,3 @@ def _spectral_sqrt(eig: EigenSystem) -> HermitianMatrix:
     root = (root + root.conj().T) / 2.0
     return HermitianMatrix(root)
 
-
-def commutator(x, y) -> np.ndarray:
-    """Matrix commutator [X, Y] = XY - YX."""
-    xm = as_matrix(x)
-    ym = as_matrix(y)
-    if xm.shape != ym.shape:
-        raise ValueError(f"dimension mismatch: {xm.shape} vs {ym.shape}")
-    return xm @ ym - ym @ xm
-
-
-def frobenius_norm_sq(x) -> float:
-    """Squared Frobenius norm, sum of |entries|^2."""
-    m = as_matrix(x)
-    return float(np.sum(m.real**2 + m.imag**2))

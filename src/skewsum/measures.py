@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianMatrix, as_matrix, commutator, frobenius_norm_sq, hermitian_eig
+from .linalg import HermitianMatrix, as_matrix, hermitian_eig
 from .states import DensityMatrix, coerce_density
 
 # mild round-off below zero is clamped; anything worse is a real error
@@ -51,7 +51,9 @@ def variance(rho, obs) -> float:
 def skew_information(rho, obs) -> float:
     """Wigner-Yanase skew information (1/2) ||[sqrt(rho), A]||_F^2."""
     state, a = _state_and_obs(rho, obs)
-    return 0.5 * frobenius_norm_sq(commutator(state.sqrt(), a))
+    root = state.sqrt().mat
+    comm = root @ a - a @ root
+    return 0.5 * float(np.sum(comm.real**2 + comm.imag**2))
 
 
 def amplitude_vector(rho, obs) -> np.ndarray:

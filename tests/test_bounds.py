@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import skewsum
 from skewsum import _kernels
 from skewsum.bounds import (
     CATALOG,
@@ -28,7 +29,6 @@ from skewsum.bounds import (
     bound_zhang,
     evaluate_all,
 )
-from skewsum.linalg import commutator
 from skewsum.measures import amplitude_vector, skew_information, variance
 from skewsum.scenarios import example1_instance, example2_instance, example3_instance
 from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state
@@ -48,9 +48,9 @@ class TestObservableSet:
     def test_iteration_and_total(self):
         obs = ObservableSet([SIGMA_X, SIGMA_Y, SIGMA_Z])
         assert obs.n == 3 and obs.dim == 2 and len(obs) == 3
-        assert list(obs.pairs()) == [(0, 1), (0, 2), (1, 2)]
+        assert list(obs) == list(obs.observables)
         np.testing.assert_array_equal(
-            obs.total().mat, SIGMA_X + SIGMA_Y + SIGMA_Z
+            sum(o.mat for o in obs), SIGMA_X + SIGMA_Y + SIGMA_Z
         )
 
 
@@ -130,6 +130,15 @@ class TestTheorem1:
             bound_theorem1(state, obs, budget=1000)
         assert err.value.tuples == math.factorial(4) ** 3
         assert err.value.budget == 1000
+
+    def test_budget_error_message_for_counts_too_long_to_print(self):
+        # 2000! has 5736 digits, past Python's int -> str limit of 4300
+        tuples = math.factorial(2000)
+        err = BudgetExceededError(tuples, 10**6)
+        assert err.tuples == tuples
+        assert str(err) == "permutation search needs about 10^5735.5 tuples, budget is 1000000"
+        small = BudgetExceededError(13824, 1000)
+        assert str(small) == "permutation search needs 13824 tuples, budget is 1000"
 
     def test_never_exceeds_variance_sum(self, make_instance):
         for trial in range(15):
@@ -267,12 +276,17 @@ class TestEvaluateAll:
             "parallelogram_diff",
         }
 
-    def test_two_observable_applicability(self, make_instance):
-        state, obs = make_instance(2, 2, 10)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_observable_applicability(self, make_instance, n):
+        # the README's catalog table: mp_quadratic and robertson at N = 2
+        # only, chen_skew at N >= 3 only, every other bound at every N
+        state, obs = make_instance(2, n, 10)
         report = evaluate_all(state, obs)
         applicable = {b.name for b in report.bounds if b.applicable}
-        assert "robertson" in applicable and "mp_quadratic" in applicable
-        assert "chen_skew" not in applicable
+        if n == 2:
+            assert applicable == set(CATALOG) - {"chen_skew"}
+        else:
+            assert applicable == set(CATALOG) - {"mp_quadratic", "robertson"}
 
     def test_tightest_selection(self, make_instance):
         for trial in range(8):
@@ -337,6 +351,19 @@ class TestEvaluateAll:
         assert set(FAMILY) == set(CATALOG)
         assert set(FAMILY.values()) == {"variance", "skew", "product"}
 
+    def test_bound_value_rejects_unknown_name(self):
+        data = BoundValue("song", 1.5).to_dict()
+        data["name"] = "bogus"
+        with pytest.raises(ValueError, match="name: unknown bound 'bogus'"):
+            BoundValue.from_dict(data)
+
+    def test_report_rejects_unknown_bound_name(self, make_instance):
+        state, obs = make_instance(2, 2, 14)
+        data = evaluate_all(state, obs).to_dict()
+        data["bounds"][1]["name"] = "bogus"
+        with pytest.raises(ValueError, match="name: unknown bound 'bogus'"):
+            BoundReport.from_dict(data)
+
     def test_bound_value_serialization_with_permutations(self):
         bv = BoundValue("theorem1", 1.5, PermutationTuple(((0, 1), (1, 0))))
         clone = BoundValue.from_dict(bv.to_dict())
@@ -363,7 +390,7 @@ class TestEvaluateAll:
             "parallelogram_sum": bound_parallelogram_sum,
             "parallelogram_diff": bound_parallelogram_diff,
         }
-        for n in (2, 3):
+        for n in (2, 3, 4):
             state, obs = make_instance(3, n, 15)
             report = evaluate_all(state, obs)
             for name, func in funcs.items():
@@ -414,7 +441,8 @@ def _pairwise_reference(state, obs):
     }
     if n == 2:
         ref["mp_quadratic"] = 0.5 * variance(state, mats[0] + mats[1])
-        ref["robertson"] = 0.5 * abs(complex(np.trace(state.mat @ commutator(*mats))))
+        comm = mats[0] @ mats[1] - mats[1] @ mats[0]
+        ref["robertson"] = 0.5 * abs(complex(np.trace(state.mat @ comm)))
         ref["delta_product"] = math.sqrt(variance(state, mats[0])) * math.sqrt(
             variance(state, mats[1])
         )
@@ -441,6 +469,15 @@ def test_matches_pairwise_formulas(make_instance, dim, n):
         assert got.keys() == ref.keys()
         for key, value in ref.items():
             assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+def test_public_api_surface():
+    for name in skewsum.__all__:
+        assert hasattr(skewsum, name), name
+    for name in CATALOG:
+        func = getattr(skewsum, f"bound_{name}")
+        assert func.__name__ == f"bound_{name}"
+        assert func.__doc__ and func.__doc__.strip(), name
 
 
 class TestComputeOnce:

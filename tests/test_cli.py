@@ -363,6 +363,45 @@ class TestFuzz:
         assert rc == 1
         assert f"error: cannot write {out}" in capsys.readouterr().err
 
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        count = [0]
+        evaluate_all = cli.evaluate_all
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return evaluate_all(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_all", counting)
+        return count
+
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, capsys, evaluations):
+        out = tmp_path / "missing" / "x.csv"
+        rc = cli.main(["fuzz", "--trials", "30", "--output", str(out)])
+        assert rc == 1
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert evaluations[0] == 0
+
+    def test_budget_of_every_cell_checked_before_any_trial(self, tmp_path, capsys, evaluations):
+        # the (6, 3) cell needs 6!^2 = 518400 tuples; (2, 2) .. (2, 3) would fit
+        out = tmp_path / "f.csv"
+        rc = cli.main(["fuzz", "--dims", "2,6", "--ns", "2,3", "--trials", "20",
+                       "--budget", "1000", "--output", str(out)])
+        assert rc == 1
+        assert "needs 518400 tuples, budget is 1000" in capsys.readouterr().err
+        assert evaluations[0] == 0
+        assert not out.exists()
+
+    def test_budget_too_long_to_print_is_input_error(self, tmp_path, capsys, evaluations):
+        out = tmp_path / "f.csv"
+        rc = cli.main(["fuzz", "--dims", "2000", "--ns", "2", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+        assert "Traceback" not in err
+        assert evaluations[0] == 0
+        assert not out.exists()
+
     def test_zero_trials_writes_header_only(self, tmp_path):
         out = tmp_path / "fuzz.csv"
         rc = cli.main(["fuzz", "--trials", "0", "--output", str(out)])

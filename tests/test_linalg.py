@@ -13,8 +13,6 @@ from skewsum.linalg import (
     NotHermitianError,
     NotPositiveSemidefiniteError,
     as_matrix,
-    commutator,
-    frobenius_norm_sq,
     hermitian_eig,
     sqrt_psd,
 )
@@ -229,25 +227,6 @@ class TestSqrtPsd:
     def test_zero_matrix(self):
         root = sqrt_psd(np.zeros((3, 3), dtype=complex))
         np.testing.assert_array_equal(root.mat, np.zeros((3, 3)))
-
-
-class TestCommutatorAndNorm:
-    def test_pauli_commutator(self):
-        np.testing.assert_allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z)
-
-    def test_commuting_matrices(self):
-        np.testing.assert_array_equal(
-            commutator(SIGMA_Z, IDENTITY_2), np.zeros((2, 2))
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator(SIGMA_X, np.eye(3))
-
-    def test_frobenius_norm_sq(self):
-        assert frobenius_norm_sq(SIGMA_X) == pytest.approx(2.0)
-        assert frobenius_norm_sq(np.zeros((4, 4))) == 0.0
-        assert frobenius_norm_sq(HermitianMatrix(SIGMA_Y)) == pytest.approx(2.0)
 
 
 @st.composite
