@@ -4,9 +4,10 @@
 Times the Jacobi eigensolver on batches of random Hermitian matrices and
 the whole Theorem-1 permutation scan, Gram blocks included, on random
 amplitude-vector stacks, then prints a table with the per-call cost of
-each. Run from the repository root:
+each. Run from the repository root (``PYTHONPATH=src`` is not needed once
+the package is installed):
 
-    python3 benchmarks/bench_kernels.py [--repeat 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .linalg import HermitianMatrix
+from .linalg import coerce_hermitian
 from .measures import NEGATIVE_CLAMP, amplitude_vector
 from .states import DensityMatrix, coerce_density
 
@@ -66,10 +66,7 @@ class ObservableSet:
     __slots__ = ("observables",)
 
     def __init__(self, observables):
-        items = tuple(
-            o if isinstance(o, HermitianMatrix) else HermitianMatrix(o)
-            for o in observables
-        )
+        items = tuple(coerce_hermitian(o) for o in observables)
         if len(items) < 2:
             raise ValueError("need at least two observables")
         dims = {o.dim for o in items}
@@ -460,6 +457,31 @@ FAMILY = {b.name: b.family for b in BOUNDS}
 CATALOG = tuple(FAMILY)
 
 
+def _evaluate(rho, observables, entries) -> tuple[float, float, tuple]:
+    """``(variance_sum, skew_sum, values)``: one :class:`InstanceData` and
+    the table ``entries`` evaluated over it.
+
+    float64 overflow is reported here, as a ``ValueError`` on a non-finite
+    sum or applicable value, not by numpy warnings. A finite variance sum
+    keeps the product target sqrt(Var A_1) * sqrt(Var A_2) finite too, so no
+    target needs a check of its own.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = InstanceData(rho, observables)
+        values = tuple(b.evaluate(data) for b in entries)
+        variance_sum = float(data.variances.sum())
+        skew_sum = float(data.skews.sum())
+    if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
+        raise ValueError(
+            f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
+            "float64 overflow, the observables' entries are too large"
+        )
+    for b in values:
+        if b.applicable and not math.isfinite(b.value):
+            raise ValueError(f"bound {b.name} has a non-finite value {b.value!r}")
+    return variance_sum, skew_sum, values
+
+
 def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
     """Permutation-maximized amplitude-vector bound on the variance sum.
 
@@ -476,14 +498,14 @@ def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue
     """
     state, obs = _coerce(rho, observables)
     check_budget(obs.dim, obs.n, budget)
-    return BOUNDS[0].evaluate(InstanceData(state, obs))  # BOUNDS[0] is theorem1
+    return _evaluate(state, obs, BOUNDS[:1])[2][0]  # BOUNDS[0] is theorem1
 
 
 def _standalone(bound: Bound):
     """``bound_<name>(rho, observables)``: the entry on its own instance data."""
 
     def func(rho, observables) -> BoundValue:
-        return bound.evaluate(InstanceData(rho, observables))
+        return _evaluate(rho, observables, (bound,))[2][0]
 
     func.__name__ = func.__qualname__ = f"bound_{bound.name}"
     func.__doc__ = bound.formula.__doc__
@@ -529,35 +551,22 @@ def evaluate_all(
     as a violation when its value exceeds its target by more than
     ``tolerance * max(1, target)``; with correct arithmetic that never
     happens, so the violations list doubles as a numerical check. A
-    non-finite sum, bound or target raises ``ValueError`` rather than
-    passing that check, and so does a non-finite ``tolerance``, which would
-    disable it. Tightest bounds are the largest applicable value per
-    family, ties going to the earlier catalog entry.
+    non-finite sum or bound raises ``ValueError`` rather than passing that
+    check, and so does a non-finite ``tolerance``, which would disable it.
+    Tightest bounds are the largest applicable value per family, ties going
+    to the earlier catalog entry.
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
     state, obs = _coerce(rho, observables)
     check_budget(obs.dim, obs.n, budget)
-    # float64 overflow is reported by the finiteness checks below, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = InstanceData(state, obs)
-        values = tuple(b.evaluate(data) for b in BOUNDS)
-
-    variance_sum = float(data.variances.sum())
-    skew_sum = float(data.skews.sum())
-    if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
-        raise ValueError(
-            f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
-            "float64 overflow, the observables' entries are too large"
-        )
+    variance_sum, skew_sum, values = _evaluate(state, obs, BOUNDS)
 
     violations = []
     for b in values:
         if not b.applicable:
             continue
         target = _target(b, variance_sum, skew_sum)
-        if not (math.isfinite(b.value) and math.isfinite(target)):
-            raise ValueError(f"bound {b.name} is not finite: {b.value!r} against {target!r}")
         if b.value > target + tolerance * max(1.0, target):
             violations.append(b.name)
 

@@ -9,7 +9,7 @@ Subcommands:
   summary of slacks; violations also land in a JSON reproducer file.
 
 Exit codes: 0 success, 1 bad input or usage, 2 at least one bound
-violation was detected (the report is still written).
+violation was detected (the report, table or summary is still written).
 """
 
 from __future__ import annotations
@@ -156,10 +156,6 @@ def _parse_problem(data):
         obs = ObservableSet(mats)
     except (LinalgError, ValueError) as exc:
         raise CliInputError(f"observables: {exc}") from exc
-    if obs.dim != state.dim:
-        raise CliInputError(
-            f"observables: dimension {obs.dim} does not match state dimension {state.dim}"
-        )
     return state, obs
 
 
@@ -266,16 +262,21 @@ def cmd_sweep(args) -> int:
         overrides.update(start=start, stop=stop, step=step)
     if args.phi is not None:
         overrides["phi"] = args.phi
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
     try:
         spec = SweepSpec.default(args.scenario, **overrides)
-        columns, rows = run_sweep(spec)
+        columns, rows, violations = run_sweep(spec)
     except (LinalgError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
     _write_csv(args.output, columns, rows)
+    if violations:
+        params, names = violations[0]
+        where = ", ".join(f"{c}={_fmt(p)}" for c, p in zip(columns, params))
+        print(
+            f"violation at {where}: {', '.join(names)} "
+            f"({len(violations)} of {len(rows)} points)",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -408,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", required=True, help="CSV output path")
     p_sweep.add_argument("--theta-grid", help="start:stop:step (inclusive)")
     p_sweep.add_argument("--phi", type=float, help="fixed phi where the scenario takes one")
-    p_sweep.add_argument("--budget", type=int)
-    p_sweep.add_argument("--tolerance", type=float)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fuzz = sub.add_parser("fuzz", help="random-instance validity fuzzing")

@@ -136,6 +136,12 @@ def as_matrix(x) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
+def coerce_hermitian(x) -> HermitianMatrix:
+    """Accept a HermitianMatrix, or anything convertible to one; the one
+    place an outside matrix is checked for being Hermitian."""
+    return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues in ascending order and matching orthonormal columns."""
@@ -163,9 +169,7 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
     would get a meaningless convergence tolerance; it is solved scaled by a
     power of two and its eigenvalues are scaled back, both exactly.
     """
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix(matrix)
-    a = np.array(matrix.mat, dtype=np.complex128, order="C")
+    a = np.array(coerce_hermitian(matrix).mat, dtype=np.complex128, order="C")
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
     with np.errstate(over="ignore"):
@@ -200,26 +204,18 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
 def sqrt_psd(matrix) -> HermitianMatrix:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues below ``PSD_EIG_FLOOR`` raise; eigenvalues below
-    ``ZERO_EIG_SNAP`` are treated as exact zeros so that square-rooting a
-    rank-deficient matrix does not amplify round-off noise.
+    The one owner of the PSD check: eigenvalues below ``PSD_EIG_FLOOR``
+    raise; eigenvalues below ``ZERO_EIG_SNAP`` are treated as exact zeros so
+    that square-rooting a rank-deficient matrix does not amplify round-off
+    noise. A matrix's cached eigensystem is reused, not solved again.
     """
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix(matrix)
-    eig = hermitian_eig(matrix)
+    eig = coerce_hermitian(matrix).eigensystem
     lo = float(eig.values[0]) if eig.dim else 0.0
     if lo < PSD_EIG_FLOOR:
         raise NotPositiveSemidefiniteError(lo)
-    return _spectral_sqrt(eig)
-
-
-def _spectral_sqrt(eig: EigenSystem) -> HermitianMatrix:
-    """V sqrt(w) V^dag from a PSD eigensystem, eigenvalues below
-    ``ZERO_EIG_SNAP`` snapped to zero."""
     w = np.where(eig.values < ZERO_EIG_SNAP, 0.0, eig.values)
     root = (eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T
     # the spectral product is Hermitian only to round-off; symmetrizing
     # makes it exact so the wrapper check cannot trip at large norms
     root = (root + root.conj().T) / 2.0
     return HermitianMatrix(root)
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_BUDGET, DEFAULT_TOLERANCE, ObservableSet, evaluate_all
+from .bounds import ObservableSet, evaluate_all
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, from_bloch, pure_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -158,8 +158,6 @@ class SweepSpec:
     stop: float
     step: float
     phi: float | None = None
-    budget: int = DEFAULT_BUDGET
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -189,8 +187,10 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec):
     """Evaluate all bounds along the sweep grid.
 
-    Returns (columns, rows): parameter columns first, then variance_sum and
-    skew_sum, then one column per applicable bound in catalog order.
+    Returns (columns, rows, violations): parameter columns first, then
+    variance_sum and skew_sum, then one column per applicable bound in
+    catalog order; ``violations`` lists ``(params, names)`` for every point
+    where a bound exceeds its target, in grid order.
     """
     scen = SCENARIOS[spec.scenario]
     thetas = grid_points(spec.start, spec.stop, spec.step)
@@ -199,14 +199,15 @@ def run_sweep(spec: SweepSpec):
 
     columns = None
     rows = []
+    violations = []
     for theta in thetas:
         params = [float(theta), float(phi)] if scen.uses_phi else [float(theta)]
         state, obs = scen.make(*params)
-        report = evaluate_all(
-            state, obs, budget=spec.budget, tolerance=spec.tolerance
-        )
+        report = evaluate_all(state, obs)
         applicable = [b for b in report.bounds if b.applicable]
         if columns is None:
             columns = param_names + ["variance_sum", "skew_sum"] + [b.name for b in applicable]
         rows.append(params + [report.variance_sum, report.skew_sum] + [b.value for b in applicable])
-    return columns, rows
+        if report.violations:
+            violations.append((params, report.violations))
+    return columns, rows, violations

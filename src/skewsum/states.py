@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PSD_EIG_FLOOR,
-    HermitianMatrix,
-    NotPositiveSemidefiniteError,
-    _spectral_sqrt,
-    as_matrix,
-)
+from .linalg import HermitianMatrix, as_matrix, sqrt_psd
 from .rng import SplitMix64
 
 TRACE_ATOL = 1e-10
@@ -52,10 +46,10 @@ class DensityMatrix(HermitianMatrix):
     """Validated density matrix with a cached eigensystem and square root.
 
     Construction validates the matrix as a :class:`HermitianMatrix`, then
-    requires unit trace (within ``TRACE_ATOL``) and eigenvalues above
+    requires unit trace (within ``TRACE_ATOL``), then takes the principal
+    square root with :func:`sqrt_psd`, which rejects eigenvalues below
     ``PSD_EIG_FLOOR``. The eigendecomposition runs once, up front, and is
-    cached; it feeds both that check and the cached principal square root
-    used by skew-information evaluations.
+    cached; every skew-information evaluation reads the cached root.
     """
 
     __slots__ = ("_sqrt",)
@@ -65,15 +59,10 @@ class DensityMatrix(HermitianMatrix):
         trace = float(np.trace(self.mat).real)
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
-        lo = float(self.eigensystem.values[0])
-        if lo < PSD_EIG_FLOOR:
-            raise NotPositiveSemidefiniteError(lo)
-        self._sqrt = None
+        self._sqrt = sqrt_psd(self)
 
     def sqrt(self) -> HermitianMatrix:
-        """Principal square root, computed once from the cached eigensystem."""
-        if self._sqrt is None:
-            self._sqrt = _spectral_sqrt(self.eigensystem)
+        """Principal square root, computed at construction."""
         return self._sqrt
 
     def purity(self) -> float:

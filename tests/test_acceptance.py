@@ -166,12 +166,13 @@ def test_criterion_5_dominance(fuzz_corpus):
 
 
 def test_criterion_6_variance_bound_strictly_tighter_somewhere():
-    columns, rows = run_sweep(SweepSpec.default("example1"))
+    columns, rows, violations = run_sweep(SweepSpec.default("example1"))
     i_t1 = columns.index("theorem1")
     i_song = columns.index("song")
     i_chen = columns.index("chen_variance")
     best_gap = max(r[i_t1] - max(r[i_song], r[i_chen]) for r in rows)
     assert len(rows) == 201
+    assert violations == []
     assert best_gap > 1e-6, f"best gap {best_gap:.3e}"
     _announce(6, f"example1 sweep: permutation bound beats prior variance bounds by {best_gap:.4f}")
 
@@ -179,11 +180,12 @@ def test_criterion_6_variance_bound_strictly_tighter_somewhere():
 def test_criterion_7_skew_bounds_strictly_tighter_somewhere():
     gaps = {}
     for scenario in ("example2", "example3"):
-        columns, rows = run_sweep(SweepSpec.default(scenario))
+        columns, rows, violations = run_sweep(SweepSpec.default(scenario))
         i_a = columns.index("theorem2a")
         i_b = columns.index("theorem2b")
         i_z = columns.index("zhang")
         assert len(rows) == 201
+        assert violations == []
         gaps[scenario] = max(max(r[i_a], r[i_b]) - r[i_z] for r in rows)
         assert gaps[scenario] > 1e-6, f"{scenario}: best gap {gaps[scenario]:.3e}"
     _announce(

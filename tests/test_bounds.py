@@ -14,6 +14,7 @@ from skewsum.bounds import (
     BoundReport,
     BoundValue,
     BudgetExceededError,
+    InstanceData,
     ObservableSet,
     PermutationTuple,
     bound_chen_skew,
@@ -29,11 +30,17 @@ from skewsum.bounds import (
     bound_zhang,
     evaluate_all,
 )
-from skewsum.measures import amplitude_vector, skew_information, variance
+from skewsum.linalg import HermitianMatrix, NotHermitianError, sqrt_psd
+from skewsum.measures import amplitude_vector, expectation, skew_information, variance
 from skewsum.scenarios import example1_instance, example2_instance, example3_instance
-from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state
+from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state, random_mixed
 
 EX1_POINT = (math.pi / 2, math.pi / 4)
+# entries near 1e200 overflow the second moments of this instance
+OVERFLOWING = (
+    pure_state([1, 1]),
+    [np.array([[1e200, 2e200], [2e200, -1e200]]), np.array([[0, -3e200j], [3e200j, 0]])],
+)
 
 
 class TestObservableSet:
@@ -399,15 +406,38 @@ class TestEvaluateAll:
     def test_non_finite_values_raise(self):
         # entries near 1e200 overflow the second moments to inf/NaN; such a
         # report used to come back with no violations, since NaN > x is false
-        state = pure_state([1, 1])
-        obs = [
-            np.array([[1e200, 2e200], [2e200, -1e200]]),
-            np.array([[0, -3e200j], [3e200j, 0]]),
-        ]
+        state, obs = OVERFLOWING
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the ValueError is the only signal
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate_all(state, obs)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_standalone_bounds_raise_on_overflow(self, name):
+        # as evaluate_all does: not nan/inf with RuntimeWarnings
+        state, obs = OVERFLOWING
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                getattr(skewsum, f"bound_{name}")(state, obs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        variance,
+        skew_information,
+        expectation,
+        amplitude_vector,
+        lambda s, a: InstanceData(s, [a, SIGMA_X]),
+        lambda s, a: evaluate_all(s, [a, SIGMA_X]),
+    ],
+    ids=["variance", "skew_information", "expectation", "amplitude_vector",
+         "InstanceData", "evaluate_all"],
+)
+def test_every_entry_point_rejects_a_non_hermitian_observable(call):
+    with pytest.raises(NotHermitianError):
+        call(pure_state([1, 0]), [[0, 1], [0, 0]])
 
 
 def _pairwise_reference(state, obs):
@@ -509,3 +539,12 @@ class TestComputeOnce:
             solves[0] = 0
             evaluate_all(*example3_instance(theta))
             assert solves[0] == 1
+
+    def test_sqrt_psd_reuses_the_cached_eigensystem(self, solves):
+        rho = random_mixed(3, seed=5)  # solved at construction
+        m = HermitianMatrix(rho.mat)
+        assert m.eigensystem.dim == 3  # solved here, then cached
+        solves[0] = 0
+        for matrix in (rho, m):
+            np.testing.assert_array_equal(sqrt_psd(matrix).mat, rho.sqrt().mat)
+        assert solves[0] == 0

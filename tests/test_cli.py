@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from skewsum import cli
+from skewsum import bounds, cli
 from skewsum.bounds import BoundReport, BoundValue
 from skewsum.linalg import EigenConvergenceError
+from skewsum.scenarios import SweepSpec, run_sweep
 
 PAULI_PROBLEM = {
     "state": {"kind": "pure", "amplitudes": [1, 0]},
@@ -303,13 +305,40 @@ class TestSweep:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: grid ")
 
-    def test_nan_tolerance_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--budget", "10"], ["--tolerance", "-1"]], ids=["budget", "tolerance"]
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # a sweep needs at most 36 tuples, and its violation check uses the
+        # library's tolerance: neither flag ever changed a correct result
         out = tmp_path / "x.csv"
-        rc = cli.main(["sweep", "--scenario", "example2", "--tolerance", "nan",
-                       "--output", str(out)])
+        rc = cli.main(["sweep", "--scenario", "example2", *flag, "--output", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_violation_exit_code_keeps_the_table(self, tmp_path, monkeypatch, capsys):
+        spec = SweepSpec.default("example1", step=math.pi / 4)
+        argv = ["sweep", "--scenario", "example1", "--theta-grid", f"0:{math.pi}:{math.pi / 4}"]
+
+        def inflated(q):
+            value, detail = bounds._zhang(q)
+            return 2.0 * value + 1.0, detail
+
+        table = [dataclasses.replace(b, formula=inflated) if b.name == "zhang" else b
+                 for b in bounds.BOUNDS]
+        monkeypatch.setattr(bounds, "BOUNDS", tuple(table))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "violation at theta=0, phi=0.78539816339744828: zhang (5 of 5 points)\n"
+        )
+        # the same bytes as the table itself, written before the exit code is chosen
+        columns, rows, violations = run_sweep(spec)
+        assert [names for _, names in violations] == [("zhang",)] * 5
+        expected = tmp_path / "expected.csv"
+        cli._write_csv(str(expected), columns, rows)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_unknown_scenario(self, tmp_path):
         rc = cli.main([

@@ -39,6 +39,15 @@ class TestExpectationVariance:
         shifted = a.mat + 3.7 * np.eye(3)
         assert variance(rho, shifted) == pytest.approx(variance(rho, a), abs=1e-12)
 
+    def test_expectation_is_real_at_any_scale(self):
+        # centred 1e20-scale observables: the expectation is round-off, and
+        # so is its imaginary part, which no relative check can tell apart
+        for s in range(50):
+            rho = random_pure(3, seed=s)
+            a = random_observable(3, seed=1000 + s) * 1e20
+            a = a - expectation(rho, a) * np.eye(3)
+            assert math.isfinite(expectation(rho, a)), s
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expectation(pure_state([1, 0]), np.eye(3))

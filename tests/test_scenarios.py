@@ -202,7 +202,7 @@ class TestSweep:
 
     def test_run_sweep_example1_columns_and_rows(self):
         spec = SweepSpec.default("example1", step=math.pi / 10.0)
-        columns, rows = run_sweep(spec)
+        columns, rows, violations = run_sweep(spec)
         assert columns == [
             "theta",
             "phi",
@@ -219,6 +219,7 @@ class TestSweep:
             "parallelogram_diff",
         ]
         assert len(rows) == 11
+        assert violations == []
         var_idx = columns.index("variance_sum")
         for row in rows:
             assert len(row) == len(columns)
@@ -226,15 +227,16 @@ class TestSweep:
 
     def test_direct_spec_without_phi_uses_the_default(self):
         spec = SweepSpec(scenario="example1", start=0.0, stop=1.0, step=0.5, phi=None)
-        columns, rows = run_sweep(spec)
+        columns, rows, _violations = run_sweep(spec)
         assert columns[:2] == ["theta", "phi"]
         assert [row[1] for row in rows] == [SCENARIOS["example1"].default_phi] * 3
 
     def test_run_sweep_example2_has_no_phi_column(self):
         spec = SweepSpec.default("example2", step=math.pi / 2.0)
-        columns, rows = run_sweep(spec)
+        columns, rows, violations = run_sweep(spec)
         assert columns[0] == "theta"
         assert "phi" not in columns
+        assert violations == []
         skew_idx = columns.index("skew_sum")
         for row in rows:
             assert row[skew_idx] == pytest.approx(1.0, abs=1e-10)
