@@ -4,7 +4,7 @@
 Times the Jacobi eigensolver on batches of random Hermitian matrices and
 the whole Theorem-1 permutation scan, Gram blocks included, on random
 amplitude-vector stacks, then prints a table with the per-call cost of
-each. Run from the repository root (``PYTHONPATH=src`` is not needed once
+each, and the per-instance cost of one scan over a 51-instance batch. Run from the repository root (``PYTHONPATH=src`` is not needed once
 the package is installed):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -49,9 +49,10 @@ def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64) -> float:
     return time_call(run, repeat) / count
 
 
-def bench_scan(dim: int, n: int, repeat: int, gen: SplitMix64) -> float:
-    avs = np.abs(gen.normals((n, dim)))
-    return time_call(lambda: _kernels.theorem1_scan(avs), repeat)
+def bench_scan(dim: int, n: int, batch: int, repeat: int, gen: SplitMix64) -> float:
+    """Seconds per instance of one scan over a batch of instances."""
+    avs = np.abs(gen.normals((batch, n, dim)))
+    return time_call(lambda: _kernels.theorem1_scan(avs), repeat) / batch
 
 
 def main():
@@ -65,8 +66,11 @@ def main():
         t = bench_jacobi(dim, 200, args.repeat, gen)
         print(f"{f'jacobi d={dim} (per solve)':<28} {t * 1e6:>12.1f}")
     for dim, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
-        t = bench_scan(dim, n, args.repeat, gen)
+        t = bench_scan(dim, n, 1, args.repeat, gen)
         print(f"{f'scan d={dim} N={n} (per scan)':<28} {t * 1e6:>12.1f}")
+    # a default-length sweep: 51 points scanned in one call
+    t = bench_scan(3, 3, 51, args.repeat, gen)
+    print(f"{'scan d=3 N=3 x51 (per inst.)':<28} {t * 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

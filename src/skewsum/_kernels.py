@@ -114,10 +114,10 @@ def jacobi_sweeps(a, v, tol, max_sweeps):
 # ---------------------------------------------------------------------------
 # Theorem-1 permutation scan.
 #
-# avs is the (N, d) stack of amplitude vectors. The tuple grid has one axis
-# per observable: length 1 for the first, whose permutation is pinned to the
-# identity, and d! for each other one, the orderings in
-# ``itertools.permutations`` order. Pair (i, j), in
+# avs is a (B, N, d) batch: one stack of N amplitude vectors per instance.
+# Each instance's tuple grid has one axis per observable: length 1 for the
+# first, whose permutation is pinned to the identity, and d! for each other
+# one, the orderings in ``itertools.permutations`` order. Pair (i, j), in
 # ``itertools.combinations`` order, contributes
 #   base = var_i + var_j,  g = (a_i perm t_i) . (a_j perm t_j),
 # g shaped to broadcast over the grid: its full length on axes i and j, 1
@@ -125,38 +125,67 @@ def jacobi_sweeps(a, v, tol, max_sweeps):
 # with ss = base + 2 g, dd = sqrt(max(base - 2 g, 0)), c1 = 1 / (2N - 2) and
 # c2 = 2 / (N (N - 1)); both sums start from 0.
 #
-# Returns (best_value, permutations): the maximizing tuple, one ordering
-# per observable, ties within TIE_TOL resolved to the first in C order of
-# the grid, which is lexicographic.
+# Returns (best_values, permutations): per instance, the maximum and the
+# maximizing tuple, one ordering per observable, ties within TIE_TOL
+# resolved to the first in C order of that instance's grid, which is
+# lexicographic.
 #
-# The Gram blocks keep the strided layout of avs[:, perms]: numpy
-# multiplies those with its own loop, contiguous ones through BLAS, and the
-# two round differently, which would change the output bytes.
+# The batch is a leading axis on every array, so each instance's numbers
+# go through the same operations, in the same order, as they would alone:
+# the element-wise steps act on each element by itself, and each Gram
+# block is its own product over the batch axis. The Gram blocks keep the
+# strided layout of avs[:, :, perms]: numpy multiplies those with its own
+# loop, contiguous ones through BLAS, and the two round differently, which
+# would change the output bytes. The strided layout holds for any batch
+# size, since the fancy index puts the batch and observable axes innermost
+# in memory. Instances are scanned in chunks whose grids hold at most
+# _SCAN_CHUNK_ELEMENTS values (always at least one instance), which bounds
+# the scan's memory; chunking cannot change any bits.
 # ---------------------------------------------------------------------------
 
 TIE_TOL = 1e-12
+_SCAN_CHUNK_ELEMENTS = 2**16
 
 
-def theorem1_scan(avs):
-    n, d = avs.shape
-    variances = np.einsum("ij,ij->i", avs, avs)
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-    permuted = [avs[:1], *avs[:, perms][1:]]
-    grid = (1,) + (perms.shape[0],) * (n - 1)
-    ss_tot = np.zeros(grid)
-    dd_tot = np.zeros(grid)
+def _scan_chunk(avs, perms, grid):
+    """The objective over the (b,) + grid tuple grid of each instance."""
+    b, n, _d = avs.shape
+    variances = np.einsum("bij,bij->bi", avs, avs)
+    # variances[:, i] shaped to broadcast over the batch's grids
+    var_grid = variances.T.reshape((n, b) + (1,) * n)
+    every = avs[:, :, perms]
+    permuted = [avs[:, :1], *(every[:, k] for k in range(1, n))]
+    ss_tot = np.zeros((b,) + grid)
+    dd_tot = np.zeros((b,) + grid)
     for i, j in itertools.combinations(range(n), 2):
-        shape = [1] * n
-        shape[i] = grid[i]
-        shape[j] = grid[j]
-        g = (permuted[i] @ permuted[j].T).reshape(shape)
-        base = variances[i] + variances[j]
+        shape = [b] + [1] * n
+        shape[1 + i] = grid[i]
+        shape[1 + j] = grid[j]
+        g = (permuted[i] @ permuted[j].transpose(0, 2, 1)).reshape(shape)
+        base = var_grid[i] + var_grid[j]
         np.add(ss_tot, base + 2.0 * g, out=ss_tot)
         np.add(dd_tot, np.sqrt(np.clip(base - 2.0 * g, 0.0, None)), out=dd_tot)
     c1 = 1.0 / (2.0 * n - 2.0)
     c2 = 2.0 / (n * (n - 1.0))
-    flat_vals = (c1 * (ss_tot + c2 * dd_tot * dd_tot)).reshape(-1)
-    best = float(flat_vals.max())
-    sel = int(np.argmax(flat_vals >= best - TIE_TOL))
-    digits = np.unravel_index(sel, grid)
-    return best, tuple(tuple(int(k) for k in perms[t]) for t in digits)
+    return (c1 * (ss_tot + c2 * dd_tot * dd_tot)).reshape(b, -1)
+
+
+def theorem1_scan(avs):
+    b, n, d = avs.shape
+    orderings = list(itertools.permutations(range(d)))
+    perms = np.array(orderings, dtype=np.int64)
+    grid = (1,) + (len(orderings),) * (n - 1)
+    chunk = max(1, _SCAN_CHUNK_ELEMENTS // math.prod(grid))
+    best = np.empty(b)
+    choices = []
+    for start in range(0, b, chunk):
+        flat_vals = _scan_chunk(avs[start : start + chunk], perms, grid)
+        top = flat_vals.max(axis=1)
+        best[start : start + chunk] = top
+        for sel in np.argmax(flat_vals >= (top - TIE_TOL)[:, None], axis=1).tolist():
+            digits = []
+            for size in reversed(grid):
+                sel, t = divmod(sel, size)
+                digits.append(orderings[t])
+            choices.append(tuple(reversed(digits)))
+    return best, choices

@@ -1,10 +1,12 @@
 """Lower bounds on sums of variances and of skew informations.
 
 The catalog is one table, :data:`BOUNDS`: one entry per bound with its
-name, family, the observable counts it applies to, and a formula over the
-per-instance :class:`InstanceData`. ``evaluate_all`` evaluates every entry
-on one instance, flags numerical violations, and picks the tightest bound
-per family; each ``bound_<name>(rho, observables)`` evaluates one entry.
+name, family, the observable counts it applies to, and a formula over
+:class:`InstanceData`, which holds a batch of instances along a leading
+axis. ``evaluate_batch`` evaluates every entry on a batch of instances that
+share one (d, N), flags numerical violations, and picks the tightest bound
+per family and instance. ``evaluate_all`` and each
+``bound_<name>(rho, observables)`` are the batch of one.
 
 Families:
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .linalg import coerce_hermitian
-from .measures import NEGATIVE_CLAMP, amplitude_vector
+from .measures import NEGATIVE_CLAMP
 from .states import DensityMatrix, coerce_density
 
 DEFAULT_BUDGET = 10**6
@@ -239,6 +241,20 @@ def _coerce(rho, observables) -> tuple[DensityMatrix, ObservableSet]:
     return state, obs
 
 
+def _coerce_batch(instances) -> tuple[list, list]:
+    """The validated states and observable sets of ``(state, observables)``
+    pairs, which must share one dimension d and observable count N."""
+    states, sets = [], []
+    for rho, observables in instances:
+        state, obs = _coerce(rho, observables)
+        states.append(state)
+        sets.append(obs)
+    cells = {(obs.dim, obs.n) for obs in sets}
+    if len(cells) > 1:
+        raise ValueError(f"a batch needs one (dimension, observable count), got {sorted(cells)}")
+    return states, sets
+
+
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of the pairs i < j, in lexicographic order."""
@@ -250,38 +266,43 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str):
     """(diagonal, m_ii + m_jj + 2 m_ij, m_ii + m_jj - 2 m_ij, sum of all entries)
-    of a correlation matrix, the middle two over :func:`_pairs`.
+    of each (B, N, N) batch entry of correlation matrices, the middle two over
+    :func:`_pairs`, each with the batch as its leading axis.
 
     Each form goes through the ``NEGATIVE_CLAMP`` rule of
     :func:`measures.variance`: round-off below zero snaps to 0, anything
     below ``NEGATIVE_CLAMP * max(1, s)`` raises, where s is the matching sum
     of diagonal entries of ``scale`` (N times its trace for the total).
     """
-    n = m.shape[0]
+    b, n, _ = m.shape
     i, j = _pairs(n)
     p = i.shape[0]
-    diag = np.diagonal(m)
-    scale_diag = np.diagonal(scale)
-    pair_scale = scale_diag[i] + scale_diag[j]
-    cross = 2.0 * m[i, j]
-    forms = np.concatenate((diag, diag[i] + diag[j] + cross, diag[i] + diag[j] - cross, [m.sum()]))
-    scales = np.concatenate((scale_diag, pair_scale, pair_scale, [n * scale_diag.sum()]))
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    scale_diag = np.diagonal(scale, axis1=1, axis2=2)
+    pair_scale = scale_diag[:, i] + scale_diag[:, j]
+    pair_diag = diag[:, i] + diag[:, j]
+    cross = 2.0 * m[:, i, j]
+    total = m.reshape(b, -1).sum(axis=1, keepdims=True)
+    scale_total = n * scale_diag.sum(axis=1, keepdims=True)
+    forms = np.concatenate((diag, pair_diag + cross, pair_diag - cross, total), axis=1)
+    scales = np.concatenate((scale_diag, pair_scale, pair_scale, scale_total), axis=1)
     bad = forms < NEGATIVE_CLAMP * np.maximum(1.0, np.abs(scales))
     if bad.any():
         raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
     forms = np.where(forms < 0.0, 0.0, forms)
-    return forms[:n], forms[n : n + p], forms[n + p : n + 2 * p], float(forms[-1])
+    return forms[:, :n], forms[:, n : n + p], forms[:, n + p : n + 2 * p], forms[:, -1]
 
 
 class InstanceData:
-    """Everything the catalog needs from one (state, observables) pair,
-    computed once; every bound is a short formula over it.
+    """Everything the catalog needs from a batch of B (state, observables)
+    pairs sharing one (d, N), computed once; every bound is a short formula
+    over it. Every array has the batch as its leading axis.
 
     * ``means``: <A_i>; ``moments``: tr(rho A_i A_j), complex;
-    * ``cov``: the covariance matrix C_ij = Re tr(rho A_i A_j) - <A_i><A_j>;
-    * ``skew_corr``: the Wigner-Yanase correlation matrix
+    * ``cov``: the covariance matrices C_ij = Re tr(rho A_i A_j) - <A_i><A_j>;
+    * ``skew_corr``: the Wigner-Yanase correlation matrices
       K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>;
-    * ``amplitudes``: the (N, d) stack of amplitude vectors.
+    * ``amplitudes``: the (B, N, d) stack of amplitude vectors.
 
     Variance and skew information are quadratic forms, so
     Var(A_i +- A_j) = C_ii + C_jj +- 2 C_ij, I(A_i +- A_j) = K_ii + K_jj +- 2 K_ij,
@@ -289,6 +310,11 @@ class InstanceData:
     precomputes them as ``variances``, ``var_plus``, ``var_minus``,
     ``var_total`` and ``skews``, ``skew_plus``, ``skew_minus``, ``skew_total``;
     variance forms are clamped against Re tr(rho A_i A_j), skew forms against K.
+
+    ``InstanceData(rho, observables)`` is the batch of one;
+    ``InstanceData.batch(instances)`` takes a sequence of pairs. Each
+    instance's numbers go through the operations they would go through
+    alone, in the same order, so batching changes no bits.
     """
 
     __slots__ = (
@@ -298,36 +324,59 @@ class InstanceData:
     )
 
     def __init__(self, rho, observables):
-        state, obs = _coerce(rho, observables)
-        n = self.n = obs.n
-        a = np.stack([o.mat for o in obs])
-        ra = state.mat @ a
-        self.means = np.trace(ra, axis1=1, axis2=2).real
+        self._build(*_coerce_batch([(rho, observables)]))
+
+    @classmethod
+    def batch(cls, instances) -> "InstanceData":
+        data = cls.__new__(cls)
+        data._build(*_coerce_batch(instances))
+        return data
+
+    def __len__(self):
+        return self.means.shape[0]
+
+    def _build(self, states, sets):
+        b, n = len(states), sets[0].n
+        self.n = n
+        rho = np.array([s.mat for s in states])
+        a = np.array([[o.mat for o in obs] for obs in sets])
+        ra = rho[:, None] @ a
+        self.means = np.trace(ra, axis1=2, axis2=3).real
         # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
-        self.moments = ra.reshape(n, -1) @ a.reshape(n, -1).conj().T
+        self.moments = ra.reshape(b, n, -1) @ a.reshape(b, n, -1).conj().transpose(0, 2, 1)
         second = self.moments.real
-        self.cov = second - np.outer(self.means, self.means)
-        root = state.sqrt().mat
-        comm = (root @ a - a @ root).reshape(n, -1).view(np.float64)
-        self.skew_corr = 0.5 * (comm @ comm.T)
+        self.cov = second - self.means[:, :, None] * self.means[:, None, :]
+        root = np.array([s.sqrt().mat for s in states])[:, None]
+        comm = (root @ a - a @ root).reshape(b, n, -1).view(np.float64)
+        self.skew_corr = 0.5 * (comm @ comm.transpose(0, 2, 1))
         (self.variances, self.var_plus, self.var_minus,
          self.var_total) = _quadratic_forms(self.cov, second, "variance")
         (self.skews, self.skew_plus, self.skew_minus,
          self.skew_total) = _quadratic_forms(self.skew_corr, self.skew_corr, "skew information")
-        self.amplitudes = np.stack([amplitude_vector(state, o) for o in obs])
+        # the amplitude vectors of :func:`measures.amplitude_vector`; one
+        # mean einsum per observable, since a single einsum over all N of
+        # them sums <A_k> in another order
+        eigs = [[o.eigensystem for o in obs] for obs in sets]
+        values = np.array([[e.values for e in row] for row in eigs])
+        vectors = np.array([[e.vectors for e in row] for row in eigs])
+        mean = np.stack([np.einsum("bij,bji->b", rho, a[:, k]) for k in range(n)], axis=1).real
+        probs = np.einsum("bnik,bij,bnjk->bnk", vectors.conj(), rho, vectors).real
+        probs = np.clip(probs, 0.0, None)
+        self.amplitudes = np.abs(values - mean[:, :, None]) * np.sqrt(probs)
 
 
-def _root_sum_sq(values: np.ndarray) -> float:
-    """(sum_k sqrt(values_k))^2."""
-    root = float(np.sqrt(values).sum())
+def _root_sum_sq(values: np.ndarray) -> np.ndarray:
+    """(sum_k sqrt(values_k))^2 over the last axis."""
+    root = np.sqrt(values).sum(axis=-1)
     return root * root
 
 
-# the formulas: each maps the instance data to (value, detail)
+# the formulas: each maps the instance data to (values, details), values
+# with one entry per instance and details a per-instance list, or None
 def _theorem1(q: InstanceData):
     """The permutation scan's maximum and its maximizing tuple."""
     best, perms = _kernels.theorem1_scan(q.amplitudes)
-    return best, PermutationTuple(perms)
+    return best, [PermutationTuple(p) for p in perms]
 
 
 def _song(q: InstanceData):
@@ -348,20 +397,20 @@ def _chen_variance(q: InstanceData):
                               + ((h - 1) / (N - 1)^2) * (sum_{i<j} ||b_i + b_j||)^2 )
     """
     n = q.n
-    b = np.sort(q.amplitudes, axis=1)
+    b = np.sort(q.amplitudes, axis=2)
     i, j = _pairs(n)
-    s = b[i] + b[j]
-    sq_norms = np.einsum("pk,pk->p", s, s)
+    s = b[:, i] + b[:, j]
+    sq_norms = np.einsum("bpk,bpk->bp", s, s)
     h = 1.0 if n == 2 else 0.0
     pref = 1.0 / (2.0**h * n - 2.0)
     coef = (h - 1.0) / (n - 1.0) ** 2
-    val = pref * (float(sq_norms.sum()) + coef * _root_sum_sq(sq_norms))
+    val = pref * (sq_norms.sum(axis=1) + coef * _root_sum_sq(sq_norms))
     return val, None
 
 
 def _mp_quadratic(q: InstanceData):
     """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
-    return 0.5 * float(q.var_plus[0]), None
+    return 0.5 * q.var_plus[:, 0], None
 
 
 def _robertson(q: InstanceData):
@@ -370,9 +419,11 @@ def _robertson(q: InstanceData):
     The detail carries the product it bounds, since the target is not the
     variance sum.
     """
-    val = 0.5 * abs(complex(q.moments[0, 1] - q.moments[1, 0]))
-    product = math.sqrt(q.variances[0]) * math.sqrt(q.variances[1])
-    return val, {"delta_product": product}
+    # Python's complex abs, which is libm hypot as for one instance alone;
+    # numpy's vectorized complex abs rounds differently on many inputs
+    val = np.array([0.5 * abs(z) for z in (q.moments[:, 0, 1] - q.moments[:, 1, 0]).tolist()])
+    product = np.sqrt(q.variances[:, 0]) * np.sqrt(q.variances[:, 1])
+    return val, [{"delta_product": x} for x in product.tolist()]
 
 
 def _theorem2a(q: InstanceData):
@@ -380,7 +431,7 @@ def _theorem2a(q: InstanceData):
     + sum_{i<j} I(A_i - A_j) )."""
     n = q.n
     val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + float(q.skew_minus.sum())
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + q.skew_minus.sum(axis=1)
     ) / (2.0 * n - 2.0)
     return val, None
 
@@ -390,7 +441,7 @@ def _theorem2b(q: InstanceData):
     + sum_{i<j} I(A_i + A_j) )."""
     n = q.n
     val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + float(q.skew_plus.sum())
+        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + q.skew_plus.sum(axis=1)
     ) / (2.0 * n - 2.0)
     return val, None
 
@@ -407,18 +458,18 @@ def _chen_skew(q: InstanceData):
     """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
     - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
     n = q.n
-    val = (float(q.skew_plus.sum()) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
+    val = (q.skew_plus.sum(axis=1) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
     return val, None
 
 
 def _parallelogram_sum(q: InstanceData):
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
-    return float(q.skew_plus.sum()) / (2.0 * q.n - 2.0), None
+    return q.skew_plus.sum(axis=1) / (2.0 * q.n - 2.0), None
 
 
 def _parallelogram_diff(q: InstanceData):
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i - A_j)."""
-    return float(q.skew_minus.sum()) / (2.0 * q.n - 2.0), None
+    return q.skew_minus.sum(axis=1) / (2.0 * q.n - 2.0), None
 
 
 @dataclass(frozen=True)
@@ -432,12 +483,15 @@ class Bound:
     min_n: int = 2
     max_n: float = math.inf
 
-    def evaluate(self, q: InstanceData) -> BoundValue:
-        """The formula's value and detail, or ``None`` outside the counts."""
+    def evaluate(self, q: InstanceData) -> list:
+        """One :class:`BoundValue` per instance: the formula's value and
+        detail, or ``None`` outside the counts."""
         if not self.min_n <= q.n <= self.max_n:
-            return BoundValue(self.name, None)
-        value, detail = self.formula(q)
-        return BoundValue(self.name, value, detail)
+            return [BoundValue(self.name, None)] * len(q)
+        values, details = self.formula(q)
+        if details is None:
+            return [BoundValue(self.name, v) for v in values.tolist()]
+        return [BoundValue(self.name, v, dt) for v, dt in zip(values.tolist(), details)]
 
 
 BOUNDS = (
@@ -457,29 +511,34 @@ FAMILY = {b.name: b.family for b in BOUNDS}
 CATALOG = tuple(FAMILY)
 
 
-def _evaluate(rho, observables, entries) -> tuple[float, float, tuple]:
-    """``(variance_sum, skew_sum, values)``: one :class:`InstanceData` and
-    the table ``entries`` evaluated over it.
+def _evaluate(instances, entries) -> list:
+    """``(variance_sum, skew_sum, values)`` per instance: one
+    :class:`InstanceData` over the batch and the table ``entries`` evaluated
+    over it.
 
     float64 overflow is reported here, as a ``ValueError`` on a non-finite
-    sum or applicable value, not by numpy warnings. A finite variance sum
-    keeps the product target sqrt(Var A_1) * sqrt(Var A_2) finite too, so no
-    target needs a check of its own.
+    sum or applicable value, not by numpy warnings; instances are checked in
+    order, each as it would be alone. A finite variance sum keeps the
+    product target sqrt(Var A_1) * sqrt(Var A_2) finite too, so no target
+    needs a check of its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        data = InstanceData(rho, observables)
-        values = tuple(b.evaluate(data) for b in entries)
-        variance_sum = float(data.variances.sum())
-        skew_sum = float(data.skews.sum())
-    if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
-        raise ValueError(
-            f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
-            "float64 overflow, the observables' entries are too large"
-        )
-    for b in values:
-        if b.applicable and not math.isfinite(b.value):
-            raise ValueError(f"bound {b.name} has a non-finite value {b.value!r}")
-    return variance_sum, skew_sum, values
+        data = InstanceData.batch(instances)
+        columns = [b.evaluate(data) for b in entries]
+        variance_sums = data.variances.sum(axis=1).tolist()
+        skew_sums = data.skews.sum(axis=1).tolist()
+    results = []
+    for variance_sum, skew_sum, values in zip(variance_sums, skew_sums, zip(*columns)):
+        if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
+            raise ValueError(
+                f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
+                "float64 overflow, the observables' entries are too large"
+            )
+        for b in values:
+            if b.applicable and not math.isfinite(b.value):
+                raise ValueError(f"bound {b.name} has a non-finite value {b.value!r}")
+        results.append((variance_sum, skew_sum, values))
+    return results
 
 
 def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
@@ -498,21 +557,21 @@ def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue
     """
     state, obs = _coerce(rho, observables)
     check_budget(obs.dim, obs.n, budget)
-    return _evaluate(state, obs, BOUNDS[:1])[2][0]  # BOUNDS[0] is theorem1
+    return _evaluate([(state, obs)], BOUNDS[:1])[0][2][0]  # BOUNDS[0] is theorem1
 
 
 def _standalone(bound: Bound):
     """``bound_<name>(rho, observables)``: the entry on its own instance data."""
 
     def func(rho, observables) -> BoundValue:
-        return _evaluate(rho, observables, (bound,))[2][0]
+        return _evaluate([(rho, observables)], (bound,))[0][2][0]
 
     func.__name__ = func.__qualname__ = f"bound_{bound.name}"
     func.__doc__ = bound.formula.__doc__
     return func
 
 
-# name -> public bound function; evaluate_all reads the table, not this mapping
+# name -> public bound function; evaluate_batch reads the table, not this mapping
 _BOUND_FUNCS = {b.name: _standalone(b) for b in BOUNDS} | {"theorem1": bound_theorem1}
 bound_song = _BOUND_FUNCS["song"]
 bound_chen_variance = _BOUND_FUNCS["chen_variance"]
@@ -537,18 +596,20 @@ def _tightest(bounds, family):
     return best_name
 
 
-def evaluate_all(
-    rho,
-    observables,
+def evaluate_batch(
+    instances,
     budget: int = DEFAULT_BUDGET,
     tolerance: float = DEFAULT_TOLERANCE,
-    metadata: dict | None = None,
-) -> BoundReport:
-    """Evaluate the full bound catalog and assemble a :class:`BoundReport`.
+) -> list:
+    """Evaluate the full bound catalog on each ``(state, observables)`` pair
+    of ``instances`` and return one :class:`BoundReport` per pair, in order.
 
-    The Theorem-1 budget is checked first; then the instance data is built
-    once and every catalog entry is evaluated over it. A bound is flagged
-    as a violation when its value exceeds its target by more than
+    The pairs must share one dimension d and observable count N; a mixed
+    batch raises ``ValueError``. The Theorem-1 budget is checked first; then
+    the instance data is built once for the whole batch and every catalog
+    entry is evaluated over it. Each report holds the same bits it would
+    hold if its instance were evaluated alone. A bound is flagged as a
+    violation when its value exceeds its target by more than
     ``tolerance * max(1, target)``; with correct arithmetic that never
     happens, so the violations list doubles as a numerical check. A
     non-finite sum or bound raises ``ValueError`` rather than passing that
@@ -558,24 +619,41 @@ def evaluate_all(
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
-    state, obs = _coerce(rho, observables)
-    check_budget(obs.dim, obs.n, budget)
-    variance_sum, skew_sum, values = _evaluate(state, obs, BOUNDS)
+    states, sets = _coerce_batch(instances)
+    if not states:
+        return []
+    check_budget(sets[0].dim, sets[0].n, budget)
+    reports = []
+    for variance_sum, skew_sum, values in _evaluate(zip(states, sets), BOUNDS):
+        violations = []
+        for b in values:
+            if not b.applicable:
+                continue
+            target = _target(b, variance_sum, skew_sum)
+            if b.value > target + tolerance * max(1.0, target):
+                violations.append(b.name)
+        reports.append(
+            BoundReport(
+                variance_sum=variance_sum,
+                skew_sum=skew_sum,
+                bounds=values,
+                violations=tuple(violations),
+                tightest_variance=_tightest(values, "variance"),
+                tightest_skew=_tightest(values, "skew"),
+            )
+        )
+    return reports
 
-    violations = []
-    for b in values:
-        if not b.applicable:
-            continue
-        target = _target(b, variance_sum, skew_sum)
-        if b.value > target + tolerance * max(1.0, target):
-            violations.append(b.name)
 
-    return BoundReport(
-        variance_sum=variance_sum,
-        skew_sum=skew_sum,
-        bounds=values,
-        violations=tuple(violations),
-        tightest_variance=_tightest(values, "variance"),
-        tightest_skew=_tightest(values, "skew"),
-        metadata=dict(metadata or {}),
-    )
+def evaluate_all(
+    rho,
+    observables,
+    budget: int = DEFAULT_BUDGET,
+    tolerance: float = DEFAULT_TOLERANCE,
+    metadata: dict | None = None,
+) -> BoundReport:
+    """:func:`evaluate_batch` on the batch of one ``(rho, observables)``,
+    with ``metadata`` copied into the report."""
+    report = evaluate_batch([(rho, observables)], budget=budget, tolerance=tolerance)[0]
+    report.metadata.update(metadata or {})
+    return report

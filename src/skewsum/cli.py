@@ -6,10 +6,12 @@ Subcommands:
   full bound report as JSON or a one-row CSV.
 * ``sweep``: run a built-in scenario over a theta grid, write a CSV table.
 * ``fuzz``: random instances over dimension/count cells, write a CSV
-  summary of slacks; violations also land in a JSON reproducer file.
+  summary of slacks; violations, and instances whose evaluation failed,
+  also land in a JSON reproducer file.
 
 Exit codes: 0 success, 1 bad input or usage, 2 at least one bound
-violation was detected (the report, table or summary is still written).
+violation was detected, or a fuzz instance failed to evaluate (the report,
+table or summary is still written).
 """
 
 from __future__ import annotations
@@ -319,6 +321,19 @@ def fuzz_instance(seed: int, dim: int, n: int, trial: int):
     return state, obs, kind
 
 
+def _reproducer(seed: int, dim: int, n: int, trial: int, kind: str, state, obs) -> dict:
+    """The JSON record of one fuzz instance, enough to rebuild it."""
+    return {
+        "dim": dim,
+        "n": n,
+        "trial": trial,
+        "seed": seed,
+        "state_kind": kind,
+        "state_matrix": _matrix_json(state.mat),
+        "observables": [_matrix_json(a.mat) for a in obs],
+    }
+
+
 _FUZZ_COLUMNS = ["dim", "n", "bound", "count", "min_slack", "max_slack", "violations"]
 
 
@@ -347,7 +362,12 @@ def cmd_fuzz(args) -> int:
         for n in ns:
             for trial in range(args.trials):
                 state, obs, kind = fuzz_instance(args.seed, dim, n, trial)
-                report = evaluate_all(state, obs, budget=budget, tolerance=tolerance)
+                try:
+                    report = evaluate_all(state, obs, budget=budget, tolerance=tolerance)
+                except (LinalgError, ValueError) as exc:
+                    record = _reproducer(args.seed, dim, n, trial, kind, state, obs)
+                    reproducers.append(record | {"violations": [], "error": str(exc)})
+                    continue
                 for b in report.bounds:
                     if not b.applicable:
                         continue
@@ -361,18 +381,8 @@ def cmd_fuzz(args) -> int:
                     if b.name in report.violations:
                         entry[3] += 1
                 if report.violations:
-                    reproducers.append(
-                        {
-                            "dim": dim,
-                            "n": n,
-                            "trial": trial,
-                            "seed": args.seed,
-                            "state_kind": kind,
-                            "state_matrix": _matrix_json(state.mat),
-                            "observables": [_matrix_json(a.mat) for a in obs],
-                            "violations": list(report.violations),
-                        }
-                    )
+                    record = _reproducer(args.seed, dim, n, trial, kind, state, obs)
+                    reproducers.append(record | {"violations": list(report.violations)})
 
     rows = [
         [dim, n, name, *entry]

@@ -73,7 +73,9 @@ class HermitianMatrix:
     """A validated, immutable complex Hermitian matrix.
 
     Construction checks the conjugate-transpose deviation against
-    ``HERMITIAN_ATOL`` and stores the hermitized average
+    ``HERMITIAN_ATOL`` times the largest entry's magnitude, so that the
+    check does not depend on the matrix's scale, and stores the hermitized
+    average
     ``M / 2 + M^dag / 2``, halved before the sum so that entries near the
     float64 maximum do not overflow. The eigensystem
     is computed on first use and cached; the matrix never changes, so the
@@ -88,9 +90,11 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("matrix has non-finite entries")
-        deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if deviation > HERMITIAN_ATOL:
-            raise NotHermitianError(deviation, HERMITIAN_ATOL)
+        deviation = float(np.abs(m - m.conj().T).max(initial=0.0))
+        if deviation:  # an exactly Hermitian matrix passes at any scale
+            allowed = HERMITIAN_ATOL * float(np.abs(m).max())
+            if deviation > allowed:
+                raise NotHermitianError(deviation, allowed)
         m = m / 2.0 + m.conj().T / 2.0
         m.setflags(write=False)
         self.mat = m
@@ -158,6 +162,25 @@ class EigenSystem:
         return self.values.shape[0]
 
 
+def rescaled_norm(a: np.ndarray) -> tuple[float, int]:
+    """The Frobenius norm of the complex array ``a``, as ``(norm, exp)``.
+
+    Where the norm is not finite or is below 2**-500, its squares over- or
+    underflowed: ``a`` is then scaled in place by 2**-exp, which is exact,
+    so that its largest real or imaginary part lies in [1/2, 1), and the
+    norm returned is the scaled array's. Otherwise ``a`` is untouched and
+    ``exp`` is 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if _NORM_FLOOR <= norm < math.inf:
+        return norm, 0
+    parts = a.view(np.float64)
+    exp = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    np.ldexp(parts, -exp, out=parts)
+    return float(np.linalg.norm(a)), exp
+
+
 def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix via cyclic Jacobi.
 
@@ -172,16 +195,9 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
     a = np.array(coerce_hermitian(matrix).mat, dtype=np.complex128, order="C")
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    exp = 0
-    if not _NORM_FLOOR <= norm < math.inf:
-        # the squares in the norm over- or underflowed, and the residual's
-        # would too: solve a copy whose largest entry lies in [1/2, 1)
-        parts = a.view(np.float64)
-        exp = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
-        np.ldexp(parts, -exp, out=parts)
-        norm = float(np.linalg.norm(a))
+    # where the squares in the norm over- or underflow, the residual's
+    # would too: solve a copy whose largest entry lies in [1/2, 1)
+    norm, exp = rescaled_norm(a)
     tol = JACOBI_TOL_FACTOR * max(norm, np.finfo(np.float64).tiny)
     sweeps, off = _kernels.jacobi_sweeps(a, v, tol, max_sweeps)
     if off > tol:

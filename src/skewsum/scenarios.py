@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ObservableSet, evaluate_all
+from .bounds import ObservableSet, evaluate_batch
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, from_bloch, pure_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -185,7 +185,7 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec):
-    """Evaluate all bounds along the sweep grid.
+    """Evaluate all bounds along the sweep grid, as one batch.
 
     Returns (columns, rows, violations): parameter columns first, then
     variance_sum and skew_sum, then one column per applicable bound in
@@ -196,18 +196,16 @@ def run_sweep(spec: SweepSpec):
     thetas = grid_points(spec.start, spec.stop, spec.step)
     phi = spec.phi if spec.phi is not None else scen.default_phi
     param_names = ["theta", "phi"] if scen.uses_phi else ["theta"]
+    points = [[float(theta), float(phi)] if scen.uses_phi else [float(theta)] for theta in thetas]
+    reports = evaluate_batch([scen.make(*params) for params in points])
 
-    columns = None
+    applicable = [b.name for b in reports[0].bounds if b.applicable]
+    columns = param_names + ["variance_sum", "skew_sum"] + applicable
     rows = []
     violations = []
-    for theta in thetas:
-        params = [float(theta), float(phi)] if scen.uses_phi else [float(theta)]
-        state, obs = scen.make(*params)
-        report = evaluate_all(state, obs)
-        applicable = [b for b in report.bounds if b.applicable]
-        if columns is None:
-            columns = param_names + ["variance_sum", "skew_sum"] + [b.name for b in applicable]
-        rows.append(params + [report.variance_sum, report.skew_sum] + [b.value for b in applicable])
+    for params, report in zip(points, reports):
+        rows.append(params + [report.variance_sum, report.skew_sum]
+                    + [b.value for b in report.bounds if b.applicable])
         if report.violations:
             violations.append((params, report.violations))
     return columns, rows, violations

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianMatrix, as_matrix, sqrt_psd
+from .linalg import HermitianMatrix, as_matrix, rescaled_norm, sqrt_psd
 from .rng import SplitMix64
 
 TRACE_ATOL = 1e-10
@@ -74,12 +74,15 @@ class DensityMatrix(HermitianMatrix):
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Density matrix |psi><psi| of a state vector, normalizing if needed."""
-    psi = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    psi = np.array(amplitudes, dtype=np.complex128).reshape(-1)
     if psi.size == 0:
         raise ValueError("state vector is empty")
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise ValueError("state vector has non-finite entries")
-    nrm = float(np.linalg.norm(psi))
+    # psi is a copy: where the norm's squares would over- or underflow,
+    # rescaled_norm scales it by a power of two first, and normalizing
+    # removes that scale again
+    nrm, _ = rescaled_norm(psi)
     if nrm <= 0.0:
         raise ValueError("state vector has zero norm")
     psi = psi / nrm

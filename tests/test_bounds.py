@@ -29,6 +29,7 @@ from skewsum.bounds import (
     bound_theorem2b,
     bound_zhang,
     evaluate_all,
+    evaluate_batch,
 )
 from skewsum.linalg import HermitianMatrix, NotHermitianError, sqrt_psd
 from skewsum.measures import amplitude_vector, expectation, skew_information, variance
@@ -422,6 +423,63 @@ class TestEvaluateAll:
                 getattr(skewsum, f"bound_{name}")(state, obs)
 
 
+def _json(report: BoundReport) -> str:
+    return json.dumps(report.to_dict())
+
+
+class TestEvaluateBatch:
+    """Each report of a batch holds the bytes evaluate_all gives its
+    instance alone."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_evaluate_all_in_every_cell(self, make_instance, dim, n):
+        # fuzz trials alternate pure and mixed states, and draw every
+        # observable afresh
+        instances = [make_instance(dim, n, 300 + t) for t in range(6)]
+        reports = evaluate_batch(instances)
+        assert [_json(r) for r in reports] == [_json(evaluate_all(*i)) for i in instances]
+
+    @pytest.mark.parametrize("make", [example1_instance, example2_instance, example3_instance])
+    def test_matches_evaluate_all_on_a_shared_observable_set(self, make):
+        instances = [make(theta) for theta in np.linspace(0.0, math.pi, 41)]
+        assert len({id(obs) for _, obs in instances}) == 1
+        reports = evaluate_batch(instances)
+        assert [_json(r) for r in reports] == [_json(evaluate_all(*i)) for i in instances]
+
+    def test_matches_evaluate_all_across_scan_chunks(self, make_instance):
+        instances = [make_instance(4, 4, 400 + t) for t in range(9)]
+        per_chunk = _kernels._SCAN_CHUNK_ELEMENTS // math.factorial(4) ** 3
+        assert 1 <= per_chunk < len(instances)
+        reports = evaluate_batch(instances)
+        assert [_json(r) for r in reports] == [_json(evaluate_all(*i)) for i in instances]
+
+    def test_reports_follow_the_order_of_the_instances(self, make_instance):
+        instances = [make_instance(3, 3, 500 + t) for t in range(5)]
+        forward = [_json(r) for r in evaluate_batch(instances)]
+        backward = [_json(r) for r in evaluate_batch(instances[::-1])]
+        assert forward == backward[::-1]
+        assert len(set(forward)) == len(forward)
+
+    def test_empty_batch(self):
+        assert evaluate_batch([]) == []
+
+    @pytest.mark.parametrize("other", [(3, 3), (2, 2)])
+    def test_mixed_cells_raise(self, make_instance, other):
+        with pytest.raises(ValueError, match="one \\(dimension, observable count\\)"):
+            evaluate_batch([make_instance(2, 3, 1), make_instance(*other, 1)])
+
+    def test_overflowing_instance_raises_its_own_message(self, make_instance):
+        with pytest.raises(ValueError) as alone:
+            evaluate_all(*OVERFLOWING)
+        batch = [make_instance(2, 2, 1), OVERFLOWING, make_instance(2, 2, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as batched:
+                evaluate_batch(batch)
+        assert str(batched.value) == str(alone.value)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -458,7 +516,7 @@ def _pairwise_reference(state, obs):
     ref = {
         "variance_sum": sum(variance(state, m) for m in mats),
         "skew_sum": sum(skew_information(state, m) for m in mats),
-        "theorem1": _kernels.theorem1_scan(amps)[0],
+        "theorem1": _kernels.theorem1_scan(amps[None])[0][0],
         "song": (variance(state, sum(mats)) + c * sum(map(math.sqrt, var_minus)) ** 2) / n,
         "chen_variance": (
             sum(chen_norms) + (h - 1.0) / (n - 1.0) ** 2 * sum(map(math.sqrt, chen_norms)) ** 2

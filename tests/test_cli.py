@@ -497,6 +497,34 @@ class TestFuzz:
         # complex entries are stored as [re, im] pairs
         assert len(entry["state_matrix"][0][0]) == 2
 
+    def test_evaluation_error_becomes_a_reproducer(self, tmp_path, monkeypatch):
+        evaluate_all = cli.evaluate_all
+        calls = [0]
+
+        def failing_once(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise EigenConvergenceError(1e-3, 100)
+            return evaluate_all(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_all", failing_once)
+        out = tmp_path / "fuzz.csv"
+        rc = cli.main(["fuzz", "--trials", "3", "--dims", "2", "--ns", "2", "--seed", "5",
+                       "--output", str(out)])
+        assert rc == 2
+        assert calls[0] == 3
+        counts = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
+        assert counts == {"2"}
+        repro = json.loads((tmp_path / "fuzz.csv.violations.json").read_text())
+        assert len(repro) == 1
+        entry = repro[0]
+        assert (entry["dim"], entry["n"], entry["trial"], entry["seed"]) == (2, 2, 1, 5)
+        assert entry["violations"] == []
+        assert entry["error"] == str(EigenConvergenceError(1e-3, 100))
+        state, obs, kind = cli.fuzz_instance(5, 2, 2, 1)
+        assert entry["state_kind"] == kind
+        assert entry["state_matrix"] == cli._matrix_json(state.mat)
+
 
 class TestUsage:
     def test_no_subcommand(self):

@@ -61,7 +61,7 @@ def test_scan_numpy_matches_direct_enumeration():
         n = 2 + trial % 3
         d = 2 + (trial // 3) % 2
         avs = np.abs(gen.normals((n, d)))
-        best, best_perms = _kernels.theorem1_scan(avs)
+        (best,), (best_perms,) = _kernels.theorem1_scan(avs[None])
 
         perms = list(itertools.permutations(range(d)))
         ref_best = max(
@@ -76,7 +76,7 @@ def test_scan_numpy_matches_direct_enumeration():
 def test_scan_tie_selection_is_first_index():
     # identical amplitude vectors make every tuple optimal; the scan must
     # settle on the lexicographically first one
-    assert _kernels.theorem1_scan(np.ones((3, 3)))[1] == ((0, 1, 2),) * 3
+    assert _kernels.theorem1_scan(np.ones((1, 3, 3)))[1][0] == ((0, 1, 2),) * 3
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,21 @@ class TestHermitianMatrix:
         assert np.array_equal(h.mat, h.mat.conj().T)
         assert h.dim == 2
 
+    def test_accepts_a_rotated_large_observable(self):
+        # the round-off asymmetry of Q A Q^dag grows with A's scale; an
+        # absolute tolerance rejected this valid observable
+        q, _ = np.linalg.qr(SplitMix64(9).complex_normals((3, 3)))
+        a = q @ (1e6 * _random_hermitian(3, SplitMix64(5))) @ q.conj().T
+        assert np.max(np.abs(a - a.conj().T)) > 1e-12
+        h = HermitianMatrix(a)
+        assert np.array_equal(h.mat, h.mat.conj().T)
+
+    def test_rejects_a_tiny_plainly_asymmetric_matrix(self):
+        # the tolerance is relative to the largest entry, so scale does not
+        # turn an asymmetric matrix into an accepted one
+        with pytest.raises(NotHermitianError):
+            HermitianMatrix([[0, 1e-13], [0, 0]])
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))

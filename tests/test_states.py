@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ class TestPureState:
         a = pure_state([1 / math.sqrt(2), 1j / math.sqrt(2)])
         b = pure_state([1j / math.sqrt(2), -1 / math.sqrt(2)])
         np.testing.assert_allclose(a.mat, b.mat, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "amplitude", [2.0**600, 2.0**-600, 1e200], ids=["2^600", "2^-600", "1e200"]
+    )
+    def test_huge_and_tiny_amplitudes_normalize(self, amplitude):
+        # the norm's squares over- or underflow; the state is still |+><+|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = pure_state([amplitude] * 2)
+        expected = pure_state([1, 1]).mat
+        if math.frexp(amplitude)[0] == 0.5:  # powers of two scale back exactly
+            np.testing.assert_array_equal(rho.mat, expected)
+        else:
+            np.testing.assert_allclose(rho.mat, expected, rtol=1e-15)
 
     def test_rejects_zero_or_empty_or_nonfinite(self):
         with pytest.raises(ValueError):
