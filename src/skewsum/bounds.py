@@ -6,7 +6,8 @@ name, family, the observable counts it applies to, and a formula over
 axis. ``evaluate_batch`` evaluates every entry on a batch of instances that
 share one (d, N), flags numerical violations, and picks the tightest bound
 per family and instance. ``evaluate_all`` and each
-``bound_<name>(rho, observables)`` are the batch of one.
+``bound_<name>(rho, observables)`` are the batch of one; all of them are
+one call to the same pass, ``_evaluate``.
 
 Families:
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .linalg import coerce_hermitian
 from .measures import NEGATIVE_CLAMP
-from .states import DensityMatrix, coerce_density
+from .states import coerce_density
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_TOLERANCE = 1e-8
@@ -233,20 +234,15 @@ class BoundReport:
         )
 
 
-def _coerce(rho, observables) -> tuple[DensityMatrix, ObservableSet]:
-    state = coerce_density(rho)
-    obs = ObservableSet.coerce(observables)
-    if obs.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, observables {obs.dim}")
-    return state, obs
-
-
 def _coerce_batch(instances) -> tuple[list, list]:
     """The validated states and observable sets of ``(state, observables)``
     pairs, which must share one dimension d and observable count N."""
     states, sets = [], []
     for rho, observables in instances:
-        state, obs = _coerce(rho, observables)
+        state = coerce_density(rho)
+        obs = ObservableSet.coerce(observables)
+        if obs.dim != state.dim:
+            raise ValueError(f"dimension mismatch: state {state.dim}, observables {obs.dim}")
         states.append(state)
         sets.append(obs)
     cells = {(obs.dim, obs.n) for obs in sets}
@@ -332,10 +328,9 @@ class InstanceData:
         data._build(*_coerce_batch(instances))
         return data
 
-    def __len__(self):
-        return self.means.shape[0]
-
     def _build(self, states, sets):
+        """Fill in the arrays from states and observable sets that
+        :func:`_coerce_batch` has validated."""
         b, n = len(states), sets[0].n
         self.n = n
         rho = np.array([s.mat for s in states])
@@ -483,16 +478,6 @@ class Bound:
     min_n: int = 2
     max_n: float = math.inf
 
-    def evaluate(self, q: InstanceData) -> list:
-        """One :class:`BoundValue` per instance: the formula's value and
-        detail, or ``None`` outside the counts."""
-        if not self.min_n <= q.n <= self.max_n:
-            return [BoundValue(self.name, None)] * len(q)
-        values, details = self.formula(q)
-        if details is None:
-            return [BoundValue(self.name, v) for v in values.tolist()]
-        return [BoundValue(self.name, v, dt) for v, dt in zip(values.tolist(), details)]
-
 
 BOUNDS = (
     Bound("theorem1", "variance", _theorem1),
@@ -511,10 +496,11 @@ FAMILY = {b.name: b.family for b in BOUNDS}
 CATALOG = tuple(FAMILY)
 
 
-def _evaluate(instances, entries) -> list:
-    """``(variance_sum, skew_sum, values)`` per instance: one
-    :class:`InstanceData` over the batch and the table ``entries`` evaluated
-    over it.
+def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> list:
+    """One :class:`BoundReport` per ``(state, observables)`` pair of
+    ``instances`` over the table ``entries``: the one pass behind every
+    public entry point. The batch is validated once; one loop per instance
+    then checks, flags and ranks its values in table order.
 
     float64 overflow is reported here, as a ``ValueError`` on a non-finite
     sum or applicable value, not by numpy warnings; instances are checked in
@@ -522,23 +508,54 @@ def _evaluate(instances, entries) -> list:
     product target sqrt(Var A_1) * sqrt(Var A_2) finite too, so no target
     needs a check of its own.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    states, sets = _coerce_batch(instances)
+    if not states:
+        return []
+    n = sets[0].n
+    if budget is not None:
+        check_budget(sets[0].dim, n, budget)
     with np.errstate(over="ignore", invalid="ignore"):
-        data = InstanceData.batch(instances)
-        columns = [b.evaluate(data) for b in entries]
+        data = InstanceData.__new__(InstanceData)
+        data._build(states, sets)
+        columns = [(b, *b.formula(data)) if b.min_n <= n <= b.max_n else (b, None, None)
+                   for b in entries]
         variance_sums = data.variances.sum(axis=1).tolist()
         skew_sums = data.skews.sum(axis=1).tolist()
-    results = []
-    for variance_sum, skew_sum, values in zip(variance_sums, skew_sums, zip(*columns)):
+    reports = []
+    for k, (variance_sum, skew_sum) in enumerate(zip(variance_sums, skew_sums)):
         if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
             raise ValueError(
                 f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
                 "float64 overflow, the observables' entries are too large"
             )
-        for b in values:
-            if b.applicable and not math.isfinite(b.value):
-                raise ValueError(f"bound {b.name} has a non-finite value {b.value!r}")
-        results.append((variance_sum, skew_sum, values))
-    return results
+        bounds, violations = [], []
+        best = {}  # family -> (name, value) of its largest value; a tie keeps the first
+        for b, values, details in columns:
+            value = None if values is None else values.item(k)
+            bv = BoundValue(b.name, value, None if details is None else details[k])
+            bounds.append(bv)
+            if value is None:
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"bound {b.name} has a non-finite value {value!r}")
+            target = _target(bv, variance_sum, skew_sum)
+            if value > target + tolerance * max(1.0, target):
+                violations.append(b.name)
+            if value > best.get(b.family, (None, -math.inf))[1]:
+                best[b.family] = (b.name, value)
+        reports.append(
+            BoundReport(
+                variance_sum=variance_sum,
+                skew_sum=skew_sum,
+                bounds=tuple(bounds),
+                violations=tuple(violations),
+                tightest_variance=best.get("variance", (None,))[0],
+                tightest_skew=best.get("skew", (None,))[0],
+            )
+        )
+    return reports
 
 
 def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
@@ -555,16 +572,14 @@ def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue
     anything is computed. The returned detail is the maximizing
     :class:`PermutationTuple`, ties broken lexicographically.
     """
-    state, obs = _coerce(rho, observables)
-    check_budget(obs.dim, obs.n, budget)
-    return _evaluate([(state, obs)], BOUNDS[:1])[0][2][0]  # BOUNDS[0] is theorem1
+    return _evaluate([(rho, observables)], BOUNDS[:1], budget)[0].bounds[0]  # BOUNDS[0] is theorem1
 
 
 def _standalone(bound: Bound):
     """``bound_<name>(rho, observables)``: the entry on its own instance data."""
 
     def func(rho, observables) -> BoundValue:
-        return _evaluate([(rho, observables)], (bound,))[0][2][0]
+        return _evaluate([(rho, observables)], (bound,))[0].bounds[0]
 
     func.__name__ = func.__qualname__ = f"bound_{bound.name}"
     func.__doc__ = bound.formula.__doc__
@@ -585,17 +600,6 @@ bound_parallelogram_sum = _BOUND_FUNCS["parallelogram_sum"]
 bound_parallelogram_diff = _BOUND_FUNCS["parallelogram_diff"]
 
 
-def _tightest(bounds, family):
-    best_name = None
-    best_val = -math.inf
-    for b in bounds:
-        if b.family != family or not b.applicable:
-            continue
-        if b.value > best_val:
-            best_name, best_val = b.name, b.value
-    return best_name
-
-
 def evaluate_batch(
     instances,
     budget: int = DEFAULT_BUDGET,
@@ -605,44 +609,19 @@ def evaluate_batch(
     of ``instances`` and return one :class:`BoundReport` per pair, in order.
 
     The pairs must share one dimension d and observable count N; a mixed
-    batch raises ``ValueError``. The Theorem-1 budget is checked first; then
-    the instance data is built once for the whole batch and every catalog
-    entry is evaluated over it. Each report holds the same bits it would
-    hold if its instance were evaluated alone. A bound is flagged as a
-    violation when its value exceeds its target by more than
-    ``tolerance * max(1, target)``; with correct arithmetic that never
-    happens, so the violations list doubles as a numerical check. A
+    batch raises ``ValueError``. The Theorem-1 budget is checked before
+    anything is computed; then the instance data is built once for the
+    whole batch and every catalog entry is evaluated over it. Each report
+    holds the same bits it would hold if its instance were evaluated alone.
+    A bound is flagged as a violation when its value exceeds its target by
+    more than ``tolerance * max(1, target)``; with correct arithmetic that
+    never happens, so the violations list doubles as a numerical check. A
     non-finite sum or bound raises ``ValueError`` rather than passing that
-    check, and so does a non-finite ``tolerance``, which would disable it.
-    Tightest bounds are the largest applicable value per family, ties going
-    to the earlier catalog entry.
+    check, and so does a non-finite or negative ``tolerance``, which would
+    disable it or flag correct values. Tightest bounds are the largest
+    applicable value per family, ties going to the earlier catalog entry.
     """
-    if not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
-    states, sets = _coerce_batch(instances)
-    if not states:
-        return []
-    check_budget(sets[0].dim, sets[0].n, budget)
-    reports = []
-    for variance_sum, skew_sum, values in _evaluate(zip(states, sets), BOUNDS):
-        violations = []
-        for b in values:
-            if not b.applicable:
-                continue
-            target = _target(b, variance_sum, skew_sum)
-            if b.value > target + tolerance * max(1.0, target):
-                violations.append(b.name)
-        reports.append(
-            BoundReport(
-                variance_sum=variance_sum,
-                skew_sum=skew_sum,
-                bounds=values,
-                violations=tuple(violations),
-                tightest_variance=_tightest(values, "variance"),
-                tightest_skew=_tightest(values, "skew"),
-            )
-        )
-    return reports
+    return _evaluate(instances, BOUNDS, budget, tolerance)
 
 
 def evaluate_all(

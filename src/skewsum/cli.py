@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``: run a built-in scenario over a theta grid, write a CSV table.
 * ``fuzz``: random instances over dimension/count cells, write a CSV
   summary of slacks; violations, and instances whose evaluation failed,
-  also land in a JSON reproducer file.
+  also land in a JSON reproducer file, ``<output>.violations.json``. Each
+  run deletes that file before its first trial, so a clean run leaves none.
 
 Exit codes: 0 success, 1 bad input or usage, 2 at least one bound
 violation was detected, or a fuzz instance failed to evaluate (the report,
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -347,14 +349,20 @@ def cmd_fuzz(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    if not math.isfinite(tolerance):
-        raise CliInputError(f"--tolerance: expected a finite number, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise CliInputError(f"--tolerance: expected a finite number >= 0, got {tolerance!r}")
     # fail before the first trial, not after the last: the budget of the
     # largest cell, which needs the most tuples, then the output path,
     # which a failed check leaves untouched
     if args.trials:
         check_budget(max(dims), max(ns), budget)
     _write_text(args.output, "")
+    # a reproducer file left by an earlier run would outlive a clean one
+    reproducer_path = args.output + ".violations.json"
+    try:
+        Path(reproducer_path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise CliInputError(f"cannot remove {reproducer_path}: {exc}") from exc
 
     stats = {}
     reproducers = []
@@ -392,7 +400,7 @@ def cmd_fuzz(args) -> int:
     ]
     _write_csv(args.output, _FUZZ_COLUMNS, rows)
     if reproducers:
-        _write_text(args.output + ".violations.json", json.dumps(reproducers, indent=2) + "\n")
+        _write_text(reproducer_path, json.dumps(reproducers, indent=2) + "\n")
         return 2
     return 0
 

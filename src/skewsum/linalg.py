@@ -230,8 +230,4 @@ def sqrt_psd(matrix) -> HermitianMatrix:
     if lo < PSD_EIG_FLOOR:
         raise NotPositiveSemidefiniteError(lo)
     w = np.where(eig.values < ZERO_EIG_SNAP, 0.0, eig.values)
-    root = (eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T
-    # the spectral product is Hermitian only to round-off; symmetrizing
-    # makes it exact so the wrapper check cannot trip at large norms
-    root = (root + root.conj().T) / 2.0
-    return HermitianMatrix(root)
+    return HermitianMatrix((eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T)

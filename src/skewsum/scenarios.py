@@ -131,20 +131,26 @@ SCENARIOS = {
     "example3": Scenario("example3", example3_instance, math.pi / 2, (0.0, math.pi)),
 }
 DEFAULT_GRID_POINTS = 201
+# a sweep holds every point's report in memory, about 5 KB each
+MAX_GRID_POINTS = 100_000
 
 
 def grid_points(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive grid start, start + step, ..., up to stop (within round-off)."""
+    """Inclusive grid start, start + step, ..., up to stop (within round-off),
+    of at most ``MAX_GRID_POINTS`` points."""
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} below start {start}")
-    steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"grid {start}:{stop}:{step} has too many points")
-    count = int(math.floor(steps + 1e-9)) + 1
+    # the step count, with slack for round-off; an overflow to inf fails the check
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid {start}:{stop}:{step} has too many points (at most {MAX_GRID_POINTS})"
+        )
+    count = int(math.floor(steps)) + 1
     # accumulated round-off must not push the last point past stop
     return np.minimum(start + step * np.arange(count), stop)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import skewsum
-from skewsum import _kernels
+from skewsum import _kernels, bounds
 from skewsum.bounds import (
     CATALOG,
     FAMILY,
@@ -336,9 +337,10 @@ class TestEvaluateAll:
         with pytest.raises(BudgetExceededError):
             evaluate_all(state, obs, budget=10)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_tolerance_raises(self, make_instance, tolerance):
-        # a NaN tolerance made every violation comparison false
+        # a NaN tolerance made every violation comparison false; a negative
+        # one flagged every bound
         state, obs = make_instance(3, 3, 16)
         with pytest.raises(ValueError, match="tolerance must be finite"):
             evaluate_all(state, obs, tolerance=tolerance)
@@ -478,6 +480,83 @@ class TestEvaluateBatch:
             with pytest.raises(ValueError) as batched:
                 evaluate_batch(batch)
         assert str(batched.value) == str(alone.value)
+
+
+def _patched(monkeypatch, formulas):
+    """Replace the named entries' formulas in the table ``evaluate_all`` reads."""
+    table = [dataclasses.replace(b, formula=formulas[b.name]) if b.name in formulas else b
+             for b in bounds.BOUNDS]
+    monkeypatch.setattr(bounds, "BOUNDS", tuple(table))
+
+
+class TestOnePass:
+    """Each report is checked, flagged and ranked in one loop over the table,
+    after one validation of the batch."""
+
+    @pytest.mark.parametrize("name", ["song", "zhang", "robertson"])
+    def test_an_inflated_bound_is_flagged_alone(self, make_instance, monkeypatch, name):
+        # one per family: robertson's target is the product in its detail
+        state, obs = make_instance(3, 2, 40)
+        assert evaluate_all(state, obs).violations == ()
+        formula = getattr(bounds, f"_{name}")
+
+        def inflated(q):
+            value, detail = formula(q)
+            return 2.0 * value + 1.0, detail
+
+        _patched(monkeypatch, {name: inflated})
+        assert evaluate_all(state, obs).violations == (name,)
+
+    def test_a_tie_goes_to_the_earlier_entry(self, make_instance, monkeypatch):
+        state, obs = make_instance(3, 3, 41)
+
+        def variance_sum(q):
+            return q.variances.sum(axis=1), None
+
+        _patched(monkeypatch, {"song": variance_sum, "chen_variance": variance_sum})
+        report = evaluate_all(state, obs)
+        assert report.value("song") == report.value("chen_variance") == report.variance_sum
+        assert report.value("theorem1") < report.variance_sum
+        assert report.tightest_variance == "song"
+        assert report.violations == ()
+
+    def test_a_value_at_the_tolerance_edge_is_not_a_violation(self, make_instance, monkeypatch):
+        state, obs = make_instance(3, 3, 42)
+        tolerance = 1e-8
+
+        def at_edge(q):
+            edge = [t + tolerance * max(1.0, t) for t in q.variances.sum(axis=1).tolist()]
+            return np.array(edge), None
+
+        def past_edge(q):
+            return np.nextafter(at_edge(q)[0], math.inf), None
+
+        _patched(monkeypatch, {"song": at_edge})
+        assert evaluate_all(state, obs, tolerance=tolerance).violations == ()
+        _patched(monkeypatch, {"song": past_edge})
+        assert evaluate_all(state, obs, tolerance=tolerance).violations == ("song",)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, o: evaluate_batch([(s, o), (s, o)]),
+            evaluate_all,
+            bound_theorem1,
+            bound_zhang,
+        ],
+        ids=["evaluate_batch", "evaluate_all", "bound_theorem1", "bound_zhang"],
+    )
+    def test_each_call_validates_its_batch_once(self, make_instance, monkeypatch, call):
+        count = [0]
+        coerce_batch = bounds._coerce_batch
+
+        def counting(instances):
+            count[0] += 1
+            return coerce_batch(instances)
+
+        monkeypatch.setattr(bounds, "_coerce_batch", counting)
+        call(*make_instance(3, 3, 43))
+        assert count[0] == 1
 
 
 @pytest.mark.parametrize(

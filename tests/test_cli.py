@@ -160,14 +160,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("source", ["flag", "json"])
     def test_nan_tolerance_is_input_error(self, tmp_path, capsys, source):
-        # a NaN tolerance used to disable the violation check and exit 0
-        if source == "flag":
-            argv = ["--input", _write_problem(tmp_path, PAULI_PROBLEM), "--tolerance", "nan"]
-        else:
-            argv = ["--input", _write_problem(tmp_path, dict(PAULI_PROBLEM, tolerance=math.nan))]
-        assert cli.main(["evaluate", *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "tolerance" in err
+        # a NaN tolerance used to disable the violation check and exit 0; a
+        # negative one flagged every bound
+        for tolerance in (math.nan, -1.0):
+            if source == "flag":
+                argv = ["--input", _write_problem(tmp_path, PAULI_PROBLEM),
+                        "--tolerance", str(tolerance)]
+            else:
+                data = dict(PAULI_PROBLEM, tolerance=tolerance)
+                argv = ["--input", _write_problem(tmp_path, data)]
+            assert cli.main(["evaluate", *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "tolerance" in err
 
     @pytest.mark.parametrize("budget", ["1e400", "NaN", "-Infinity"])
     def test_non_finite_json_budget_is_input_error(self, tmp_path, capsys, budget):
@@ -298,7 +302,7 @@ class TestSweep:
         assert rc == 1
         assert "theta-grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1e300:1e-300"])
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan", "0:1e300:1e-300", "0:1:1e-15"])
     def test_non_finite_or_overflowing_grid(self, tmp_path, capsys, grid):
         rc = cli.main(["sweep", "--scenario", "example1", "--theta-grid", grid,
                        "--output", str(tmp_path / "x.csv")])
@@ -386,6 +390,14 @@ class TestFuzz:
             assert cells[6] == "0"
         assert not (tmp_path / "fuzz.csv.violations.json").exists()
 
+    def test_clean_run_removes_a_stale_reproducer(self, tmp_path):
+        out = tmp_path / "fuzz.csv"
+        stale = tmp_path / "fuzz.csv.violations.json"
+        stale.write_text("[]\n")
+        rc = cli.main(["fuzz", "--trials", "2", "--dims", "2", "--ns", "2", "--output", str(out)])
+        assert rc == 0
+        assert not stale.exists()
+
     def test_unwritable_output_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "fuzz.csv"
         rc = cli.main(["fuzz", "--trials", "1", "--dims", "2", "--ns", "2", "--output", str(out)])
@@ -447,10 +459,12 @@ class TestFuzz:
 
     def test_nan_tolerance_rejected_before_any_trial(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
-        rc = cli.main(["fuzz", "--trials", "0", "--tolerance", "nan", "--output", str(out)])
-        assert rc == 1
-        assert "--tolerance" in capsys.readouterr().err
-        assert not out.exists()
+        for tolerance in ("nan", "-1"):
+            rc = cli.main(["fuzz", "--trials", "0", "--tolerance", tolerance,
+                           "--output", str(out)])
+            assert rc == 1
+            assert "--tolerance" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_dims(self, tmp_path, capsys):
         rc = cli.main(["fuzz", "--dims", "2,x", "--output", str(tmp_path / "f.csv")])

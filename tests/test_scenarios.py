@@ -16,6 +16,7 @@ from skewsum.scenarios import (
     L_X,
     L_Y,
     L_Z,
+    MAX_GRID_POINTS,
     SCENARIOS,
     SweepSpec,
     example1_instance,
@@ -172,10 +173,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             grid_points(start, stop, step)
 
-    @pytest.mark.parametrize("start,stop,step", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+    @pytest.mark.parametrize(
+        "start,stop,step", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0), (0.0, 1.0, 1e-15)]
+    )
     def test_overflowing_point_count_rejected(self, start, stop, step):
         with pytest.raises(ValueError, match="too many points"):
             grid_points(start, stop, step)
+
+    def test_largest_grid_accepted(self):
+        assert len(grid_points(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="too many points"):
+            grid_points(0.0, float(MAX_GRID_POINTS), 1.0)
 
 
 class TestSweep:
