@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the kernels.
 
-Times the Jacobi eigensolver on batches of random Hermitian matrices and
-the whole Theorem-1 permutation scan, Gram blocks included, on random
-amplitude-vector stacks, then prints a table with the per-call cost of
-each, and the per-instance cost of one scan over a 51-instance batch. Run from the repository root (``PYTHONPATH=src`` is not needed once
-the package is installed):
+Times the Jacobi eigensolver on batches of random Hermitian matrices, both
+the raw kernel and ``linalg.hermitian_eig`` around it (tolerance, sort and
+phase fix included), and the whole Theorem-1 permutation scan, Gram blocks
+included, on random amplitude-vector stacks, then prints a table with the
+per-call cost of each, and the per-instance cost of one scan over a
+51-instance batch. Run from the repository root (``PYTHONPATH=src`` is not
+needed once the package is installed):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
 """
@@ -18,6 +20,7 @@ import time
 import numpy as np
 
 from skewsum import _kernels
+from skewsum.linalg import HermitianMatrix, hermitian_eig
 from skewsum.rng import SplitMix64
 
 
@@ -36,8 +39,8 @@ def time_call(fn, repeat: int) -> float:
     return best
 
 
-def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64) -> float:
-    mats = [random_hermitian(dim, gen) for _ in range(count)]
+def bench_jacobi(mats: list, repeat: int) -> float:
+    dim = mats[0].shape[0]
     tol = 1e-13 * max(float(np.linalg.norm(m)) for m in mats)
 
     def run():
@@ -46,7 +49,19 @@ def bench_jacobi(dim: int, count: int, repeat: int, gen: SplitMix64) -> float:
             v = np.eye(dim, dtype=np.complex128)
             _kernels.jacobi_sweeps(a, v, tol, 100)
 
-    return time_call(run, repeat) / count
+    return time_call(run, repeat) / len(mats)
+
+
+def bench_hermitian_eig(mats: list, repeat: int) -> float:
+    """Seconds per ``hermitian_eig`` call on an already validated matrix,
+    which is how ``HermitianMatrix.eigensystem`` calls it."""
+    validated = [HermitianMatrix(m) for m in mats]
+
+    def run():
+        for m in validated:
+            hermitian_eig(m)
+
+    return time_call(run, repeat) / len(mats)
 
 
 def bench_scan(dim: int, n: int, batch: int, repeat: int, gen: SplitMix64) -> float:
@@ -61,16 +76,21 @@ def main():
     args = parser.parse_args()
 
     gen = SplitMix64(20260814)
-    print(f"{'workload':<28} {'time (us)':>12}")
-    for dim in (2, 3, 4, 6, 10):
-        t = bench_jacobi(dim, 200, args.repeat, gen)
-        print(f"{f'jacobi d={dim} (per solve)':<28} {t * 1e6:>12.1f}")
+    print(f"{'workload':<30} {'time (us)':>12}")
+    mats = {dim: [random_hermitian(dim, gen) for _ in range(200)] for dim in (2, 3, 4, 6, 10)}
+    for dim, batch in mats.items():
+        t = bench_jacobi(batch, args.repeat)
+        print(f"{f'jacobi d={dim} (per solve)':<30} {t * 1e6:>12.1f}")
+    # the same matrices through the wrapper, to show its own cost
+    for dim in (2, 3, 4):
+        t = bench_hermitian_eig(mats[dim], args.repeat)
+        print(f"{f'hermitian_eig d={dim} (per solve)':<30} {t * 1e6:>12.1f}")
     for dim, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
         t = bench_scan(dim, n, 1, args.repeat, gen)
-        print(f"{f'scan d={dim} N={n} (per scan)':<28} {t * 1e6:>12.1f}")
+        print(f"{f'scan d={dim} N={n} (per scan)':<30} {t * 1e6:>12.1f}")
     # a default-length sweep: 51 points scanned in one call
     t = bench_scan(3, 3, 51, args.repeat, gen)
-    print(f"{'scan d=3 N=3 x51 (per inst.)':<28} {t * 1e6:>12.1f}")
+    print(f"{'scan d=3 N=3 x51 (per inst.)':<30} {t * 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

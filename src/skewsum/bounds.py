@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .linalg import coerce_hermitian
+from .linalg import HermitianMatrix
 from .measures import NEGATIVE_CLAMP
-from .states import coerce_density
+from .states import DensityMatrix
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_TOLERANCE = 1e-8
@@ -63,13 +63,21 @@ def check_budget(dim: int, n: int, budget: int):
         raise BudgetExceededError(tuples, budget)
 
 
+def check_tolerance(tolerance: float):
+    """Raise ``ValueError`` unless the violation tolerance is finite and
+    non-negative: a NaN or infinite one would disable the violation check,
+    and a negative one would flag correct values."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+
+
 class ObservableSet:
     """Two or more Hermitian observables sharing one dimension."""
 
     __slots__ = ("observables",)
 
     def __init__(self, observables):
-        items = tuple(coerce_hermitian(o) for o in observables)
+        items = tuple(HermitianMatrix.coerce(o) for o in observables)
         if len(items) < 2:
             raise ValueError("need at least two observables")
         dims = {o.dim for o in items}
@@ -239,7 +247,7 @@ def _coerce_batch(instances) -> tuple[list, list]:
     pairs, which must share one dimension d and observable count N."""
     states, sets = [], []
     for rho, observables in instances:
-        state = coerce_density(rho)
+        state = DensityMatrix.coerce(rho)
         obs = ObservableSet.coerce(observables)
         if obs.dim != state.dim:
             raise ValueError(f"dimension mismatch: state {state.dim}, observables {obs.dim}")
@@ -307,10 +315,9 @@ class InstanceData:
     ``var_total`` and ``skews``, ``skew_plus``, ``skew_minus``, ``skew_total``;
     variance forms are clamped against Re tr(rho A_i A_j), skew forms against K.
 
-    ``InstanceData(rho, observables)`` is the batch of one;
-    ``InstanceData.batch(instances)`` takes a sequence of pairs. Each
-    instance's numbers go through the operations they would go through
-    alone, in the same order, so batching changes no bits.
+    ``InstanceData(rho, observables)`` is the batch of one. Each instance's
+    numbers go through the operations they would go through alone, in the
+    same order, so batching changes no bits.
     """
 
     __slots__ = (
@@ -321,12 +328,6 @@ class InstanceData:
 
     def __init__(self, rho, observables):
         self._build(*_coerce_batch([(rho, observables)]))
-
-    @classmethod
-    def batch(cls, instances) -> "InstanceData":
-        data = cls.__new__(cls)
-        data._build(*_coerce_batch(instances))
-        return data
 
     def _build(self, states, sets):
         """Fill in the arrays from states and observable sets that
@@ -508,8 +509,7 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> l
     product target sqrt(Var A_1) * sqrt(Var A_2) finite too, so no target
     needs a check of its own.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    check_tolerance(tolerance)
     states, sets = _coerce_batch(instances)
     if not states:
         return []

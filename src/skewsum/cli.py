@@ -10,9 +10,10 @@ Subcommands:
   also land in a JSON reproducer file, ``<output>.violations.json``. Each
   run deletes that file before its first trial, so a clean run leaves none.
 
-Exit codes: 0 success, 1 bad input or usage, 2 at least one bound
-violation was detected, or a fuzz instance failed to evaluate (the report,
-table or summary is still written).
+Exit codes: 0 success, 1 bad input or usage or a library error (``main``
+alone maps each to one ``error:`` line), 2 at least one bound violation
+was detected, or a fuzz instance failed to evaluate (the report, table or
+summary is still written).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .bounds import (
     BudgetExceededError,
     ObservableSet,
     check_budget,
+    check_tolerance,
     evaluate_all,
 )
 from .linalg import LinalgError
@@ -209,7 +211,7 @@ def cmd_evaluate(args) -> int:
             data = json.load(f)
     except OSError as exc:
         raise CliInputError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise CliInputError(f"{args.input}: invalid JSON: {exc}") from exc
 
     state, obs = _parse_problem(data)
@@ -219,16 +221,9 @@ def cmd_evaluate(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else float(
         _number_field(data, "tolerance", DEFAULT_TOLERANCE, "tolerance")
     )
-    try:
-        report = evaluate_all(
-            state,
-            obs,
-            budget=budget,
-            tolerance=tolerance,
-            metadata={"dim": state.dim, "n": obs.n},
-        )
-    except (LinalgError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
+    report = evaluate_all(
+        state, obs, budget=budget, tolerance=tolerance, metadata={"dim": state.dim, "n": obs.n}
+    )
 
     if args.format == "csv":
         if args.output is None:
@@ -266,11 +261,8 @@ def cmd_sweep(args) -> int:
         overrides.update(start=start, stop=stop, step=step)
     if args.phi is not None:
         overrides["phi"] = args.phi
-    try:
-        spec = SweepSpec.default(args.scenario, **overrides)
-        columns, rows, violations = run_sweep(spec)
-    except (LinalgError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
+    spec = SweepSpec.default(args.scenario, **overrides)
+    columns, rows, violations = run_sweep(spec)
     _write_csv(args.output, columns, rows)
     if violations:
         params, names = violations[0]
@@ -300,6 +292,8 @@ def _parse_int_list(text: str, flag: str):
         raise CliInputError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
     if not vals or any(v < 1 for v in vals):
         raise CliInputError(f"{flag}: expected positive integers, got {text!r}")
+    if len(set(vals)) != len(vals):
+        raise CliInputError(f"{flag}: expected distinct values, got {text!r}")
     return vals
 
 
@@ -349,8 +343,10 @@ def cmd_fuzz(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise CliInputError(f"--tolerance: expected a finite number >= 0, got {tolerance!r}")
+    try:
+        check_tolerance(tolerance)
+    except ValueError as exc:
+        raise CliInputError(f"--tolerance: {exc}") from exc
     # fail before the first trial, not after the last: the budget of the
     # largest cell, which needs the most tuples, then the output path,
     # which a failed check leaves untouched
@@ -447,7 +443,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, LinalgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

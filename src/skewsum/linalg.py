@@ -100,6 +100,12 @@ class HermitianMatrix:
         self.mat = m
         self._eigen = None
 
+    @classmethod
+    def coerce(cls, x) -> HermitianMatrix:
+        """``x`` itself if it is already a ``cls``, else ``cls(x)``, which
+        validates it; a subclass applies its own rules."""
+        return x if isinstance(x, cls) else cls(x)
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -120,10 +126,10 @@ class HermitianMatrix:
     # sums, differences and real scalings of Hermitian matrices are
     # Hermitian exactly, so these never trip the tolerance check
     def __add__(self, other):
-        return HermitianMatrix(self.mat + as_matrix(other))
+        return HermitianMatrix(self.mat + np.asarray(other, dtype=np.complex128))
 
     def __sub__(self, other):
-        return HermitianMatrix(self.mat - as_matrix(other))
+        return HermitianMatrix(self.mat - np.asarray(other, dtype=np.complex128))
 
     def __neg__(self):
         return HermitianMatrix(-self.mat)
@@ -132,18 +138,6 @@ class HermitianMatrix:
         return HermitianMatrix(self.mat * float(scale))
 
     __rmul__ = __mul__
-
-
-def as_matrix(x) -> np.ndarray:
-    """Unwrap HermitianMatrix-like objects to a complex128 ndarray view."""
-    m = getattr(x, "mat", x)
-    return np.asarray(m, dtype=np.complex128)
-
-
-def coerce_hermitian(x) -> HermitianMatrix:
-    """Accept a HermitianMatrix, or anything convertible to one; the one
-    place an outside matrix is checked for being Hermitian."""
-    return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ def rescaled_norm(a: np.ndarray) -> tuple[float, int]:
     return float(np.linalg.norm(a)), exp
 
 
-def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
+def hermitian_eig(matrix) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix via cyclic Jacobi.
 
     Eigenvalues come back ascending (stable order among exact ties) and each
@@ -190,16 +184,17 @@ def hermitian_eig(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSystem:
 
     A matrix whose Frobenius norm overflows, or underflows below 2**-500,
     would get a meaningless convergence tolerance; it is solved scaled by a
-    power of two and its eigenvalues are scaled back, both exactly.
+    power of two and its eigenvalues are scaled back, both exactly. The
+    solver gives up after ``JACOBI_MAX_SWEEPS`` sweeps, read at each call.
     """
-    a = np.array(coerce_hermitian(matrix).mat, dtype=np.complex128, order="C")
+    a = np.array(HermitianMatrix.coerce(matrix).mat, dtype=np.complex128, order="C")
     d = a.shape[0]
     v = np.eye(d, dtype=np.complex128)
     # where the squares in the norm over- or underflow, the residual's
     # would too: solve a copy whose largest entry lies in [1/2, 1)
     norm, exp = rescaled_norm(a)
     tol = JACOBI_TOL_FACTOR * max(norm, np.finfo(np.float64).tiny)
-    sweeps, off = _kernels.jacobi_sweeps(a, v, tol, max_sweeps)
+    sweeps, off = _kernels.jacobi_sweeps(a, v, tol, JACOBI_MAX_SWEEPS)
     if off > tol:
         raise EigenConvergenceError(math.ldexp(off, exp), sweeps)
 
@@ -225,7 +220,7 @@ def sqrt_psd(matrix) -> HermitianMatrix:
     that square-rooting a rank-deficient matrix does not amplify round-off
     noise. A matrix's cached eigensystem is reused, not solved again.
     """
-    eig = coerce_hermitian(matrix).eigensystem
+    eig = HermitianMatrix.coerce(matrix).eigensystem
     lo = float(eig.values[0]) if eig.dim else 0.0
     if lo < PSD_EIG_FLOOR:
         raise NotPositiveSemidefiniteError(lo)

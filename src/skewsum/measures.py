@@ -12,8 +12,8 @@ import numpy as np
 # hermitian_eig is not called here; perfbench/tracing.py patches
 # ``measures.hermitian_eig`` and its tests assert that the name exists, so the
 # import stays until the tracer reads library-owned counters instead
-from .linalg import coerce_hermitian, hermitian_eig  # noqa: F401
-from .states import coerce_density
+from .linalg import HermitianMatrix, hermitian_eig  # noqa: F401
+from .states import DensityMatrix
 
 # mild round-off below zero is clamped; anything worse is a real error
 NEGATIVE_CLAMP = -1e-12
@@ -22,8 +22,8 @@ NEGATIVE_CLAMP = -1e-12
 def _state_and_obs(rho, obs):
     """The validated ``(DensityMatrix, HermitianMatrix)`` pair, checked for
     equal dimensions."""
-    state = coerce_density(rho)
-    obs = coerce_hermitian(obs)
+    state = DensityMatrix.coerce(rho)
+    obs = HermitianMatrix.coerce(obs)
     if obs.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, observable {obs.dim}")
     return state, obs

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianMatrix, as_matrix, rescaled_norm, sqrt_psd
+from .linalg import HermitianMatrix, rescaled_norm, sqrt_psd
 from .rng import SplitMix64
 
 TRACE_ATOL = 1e-10
@@ -50,6 +50,8 @@ class DensityMatrix(HermitianMatrix):
     square root with :func:`sqrt_psd`, which rejects eigenvalues below
     ``PSD_EIG_FLOOR``. The eigendecomposition runs once, up front, and is
     cached; every skew-information evaluation reads the cached root.
+    ``DensityMatrix.coerce`` applies these checks to anything that is not
+    already a ``DensityMatrix``, a plain ``HermitianMatrix`` included.
     """
 
     __slots__ = ("_sqrt",)
@@ -125,9 +127,3 @@ def random_observable(dim: int, seed: int) -> HermitianMatrix:
     gin = g.complex_normals((dim, dim))
     return HermitianMatrix((gin + gin.conj().T) / 2.0)
 
-
-def coerce_density(state) -> DensityMatrix:
-    """Accept a DensityMatrix, or anything convertible to one."""
-    if isinstance(state, DensityMatrix):
-        return state
-    return DensityMatrix(as_matrix(state))

@@ -85,9 +85,12 @@ class TestEvaluate:
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert cli.main(["evaluate", "--input", str(path)]) == 1
-        assert "invalid JSON" in capsys.readouterr().err
+        for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(content)
+            assert cli.main(["evaluate", "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: invalid JSON: ")
+            assert err.count("\n") == 1
 
     def test_error_messages_name_the_field(self, tmp_path, capsys):
         bad_entry = dict(PAULI_PROBLEM, observables=[[[0, 1], [1, 0]], [[0, [1, 2, 3]], [0, 0]]])
@@ -344,6 +347,24 @@ class TestSweep:
         cli._write_csv(str(expected), columns, rows)
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            EigenConvergenceError(1e-3, 100),
+            ValueError("variance -1.0 is negative beyond round-off"),
+        ],
+    )
+    def test_evaluation_errors_exit_1(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        out = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--scenario", "example2", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert not out.exists()
+
     def test_unknown_scenario(self, tmp_path):
         rc = cli.main([
             "sweep",
@@ -467,14 +488,19 @@ class TestFuzz:
             assert not out.exists()
 
     def test_bad_dims(self, tmp_path, capsys):
-        rc = cli.main(["fuzz", "--dims", "2,x", "--output", str(tmp_path / "f.csv")])
-        assert rc == 1
-        assert "--dims" in capsys.readouterr().err
+        # a repeated value would count its cell's instances twice
+        for dims in ("2,x", "2,2"):
+            rc = cli.main(["fuzz", "--trials", "3", "--dims", dims,
+                           "--output", str(tmp_path / "f.csv")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: --dims: ")
 
     def test_ns_below_two_rejected(self, tmp_path, capsys):
-        rc = cli.main(["fuzz", "--ns", "1,2", "--output", str(tmp_path / "f.csv")])
-        assert rc == 1
-        assert "--ns" in capsys.readouterr().err
+        for ns in ("1,2", "2,2"):
+            rc = cli.main(["fuzz", "--trials", "3", "--ns", ns,
+                           "--output", str(tmp_path / "f.csv")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: --ns: ")
 
     def test_violation_reproducer(self, tmp_path, monkeypatch):
         fake = BoundReport(
@@ -538,6 +564,20 @@ class TestFuzz:
         state, obs, kind = cli.fuzz_instance(5, 2, 2, 1)
         assert entry["state_kind"] == kind
         assert entry["state_matrix"] == cli._matrix_json(state.mat)
+
+    def test_instance_construction_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        # an error building an instance, outside the per-instance evaluation,
+        # used to end in a traceback
+        exc = EigenConvergenceError(1e-3, 100)
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "fuzz_instance", fail)
+        rc = cli.main(["fuzz", "--trials", "1", "--dims", "2", "--ns", "2",
+                       "--output", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 class TestUsage:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewsum import _kernels
+from skewsum import _kernels, linalg
 from skewsum.linalg import (
     EigenConvergenceError,
     HermitianMatrix,
     NotHermitianError,
     NotPositiveSemidefiniteError,
-    as_matrix,
     hermitian_eig,
     sqrt_psd,
 )
@@ -38,6 +37,15 @@ class TestHermitianMatrix:
         ref = hermitian_eig(h)
         np.testing.assert_array_equal(eig.values, ref.values)
         np.testing.assert_array_equal(eig.vectors, ref.vectors)
+
+    def test_coerce_returns_a_validated_matrix_itself(self):
+        h = HermitianMatrix(SIGMA_X)
+        assert HermitianMatrix.coerce(h) is h
+        fresh = HermitianMatrix.coerce(SIGMA_X)
+        assert isinstance(fresh, HermitianMatrix)
+        assert fresh.mat.tobytes() == h.mat.tobytes()
+        with pytest.raises(NotHermitianError):
+            HermitianMatrix.coerce([[0, 1], [0, 0]])
 
     def test_rejects_plainly_asymmetric(self):
         with pytest.raises(NotHermitianError) as err:
@@ -84,7 +92,7 @@ class TestHermitianMatrix:
         b = HermitianMatrix(_random_hermitian(3, gen, scale=100.0))
         for combo in (a + b, a - b, -a, 2.5 * a, a * 0.0):
             assert isinstance(combo, HermitianMatrix)
-        np.testing.assert_allclose(as_matrix(a + b), a.mat + b.mat)
+        np.testing.assert_allclose(np.asarray(a + b), a.mat + b.mat)
 
     def test_hermitizing_near_the_float64_maximum_does_not_overflow(self):
         # (M + M^dag) / 2 overflowed to inf+nanj here, and the solver then
@@ -163,9 +171,10 @@ class TestHermitianEig:
                 assert abs(lead.imag) < 1e-12
                 assert lead.real > 0.0
 
-    def test_convergence_error_carries_residual(self):
+    def test_convergence_error_carries_residual(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(EigenConvergenceError) as err:
-            hermitian_eig(SIGMA_X, max_sweeps=0)
+            hermitian_eig(SIGMA_X)
         assert err.value.residual == pytest.approx(math.sqrt(2.0))
         assert err.value.sweeps == 0
 

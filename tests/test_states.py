@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewsum.linalg import NotHermitianError, NotPositiveSemidefiniteError
+from skewsum.linalg import HermitianMatrix, NotHermitianError, NotPositiveSemidefiniteError
 from skewsum.states import (
     IDENTITY_2,
     SIGMA_X,
@@ -44,6 +44,15 @@ class TestDensityMatrix:
         assert rho.dim == 2
         assert rho.purity() == pytest.approx(0.5)
         np.testing.assert_array_equal(rho.eigensystem.values, [0.5, 0.5])
+
+    def test_coerce_applies_the_density_rules(self):
+        rho = from_bloch((0.3, -0.2, 0.5))
+        assert DensityMatrix.coerce(rho) is rho
+        fresh = DensityMatrix.coerce(HermitianMatrix(rho.mat))
+        assert type(fresh) is DensityMatrix and fresh is not rho
+        assert fresh.mat.tobytes() == rho.mat.tobytes()
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.coerce(HermitianMatrix(SIGMA_Z))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
