@@ -3,7 +3,9 @@
 The catalog is one table, :data:`BOUNDS`: one entry per bound with its
 name, family, the observable counts it applies to, and a formula over
 :class:`InstanceData`, which holds a batch of instances along a leading
-axis. ``evaluate_batch`` evaluates every entry on a batch of instances that
+axis, or over the ``variance`` or ``skew`` :class:`QuadraticForm` it names;
+amplitude vectors are computed only when a formula reads them.
+``evaluate_batch`` evaluates every entry on a batch of instances that
 share one (d, N), flags numerical violations, and picks the tightest bound
 per family and instance. ``evaluate_all`` and each
 ``bound_<name>(rho, observables)`` are the batch of one; all of them are
@@ -22,6 +24,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +72,18 @@ def check_tolerance(tolerance: float):
     and a negative one would flag correct values."""
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+
+
+def _finite_number(x, where: str) -> float:
+    """``x`` as a float; ``ValueError`` naming ``where`` unless it is a finite
+    real number (a string, a bool, NaN or an infinity is not)."""
+    try:
+        value = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {x!r}")
+    return value
 
 
 class ObservableSet:
@@ -172,7 +187,10 @@ class BoundValue:
             raise ValueError(
                 f"name: unknown bound {data['name']!r}, expected one of {', '.join(CATALOG)}"
             )
-        bv = cls(name=data["name"], value=data["value"], detail=detail)
+        value = data["value"]
+        if value is not None:
+            value = _finite_number(value, f"bound {data['name']} value")
+        bv = cls(name=data["name"], value=value, detail=detail)
         if bool(data["applicable"]) != bv.applicable:
             raise ValueError(
                 f"bound {bv.name}: applicable={data['applicable']!r} "
@@ -232,8 +250,8 @@ class BoundReport:
     @classmethod
     def from_dict(cls, data: dict) -> "BoundReport":
         return cls(
-            variance_sum=float(data["variance_sum"]),
-            skew_sum=float(data["skew_sum"]),
+            variance_sum=_finite_number(data["variance_sum"], "variance_sum"),
+            skew_sum=_finite_number(data["skew_sum"], "skew_sum"),
             bounds=tuple(BoundValue.from_dict(b) for b in data["bounds"]),
             violations=tuple(data["violations"]),
             tightest_variance=data["tightest_variance"],
@@ -268,10 +286,23 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str):
-    """(diagonal, m_ii + m_jj + 2 m_ij, m_ii + m_jj - 2 m_ij, sum of all entries)
-    of each (B, N, N) batch entry of correlation matrices, the middle two over
-    :func:`_pairs`, each with the batch as its leading axis.
+class QuadraticForm(NamedTuple):
+    """A positive semidefinite form q on each instance's observables, batch
+    first: q(A_i), q(A_i +- A_j) over :func:`_pairs`, and q(sum A)."""
+
+    diag: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    total: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.diag.shape[1]
+
+
+def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticForm:
+    """The :class:`QuadraticForm` of each (B, N, N) batch entry of correlation
+    matrices: m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
 
     Each form goes through the ``NEGATIVE_CLAMP`` rule of
     :func:`measures.variance`: round-off below zero snaps to 0, anything
@@ -294,7 +325,7 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str):
     if bad.any():
         raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
     forms = np.where(forms < 0.0, 0.0, forms)
-    return forms[:, :n], forms[:, n : n + p], forms[:, n + p : n + 2 * p], forms[:, -1]
+    return QuadraticForm(forms[:, :n], forms[:, n : n + p], forms[:, n + p : -1], forms[:, -1])
 
 
 class InstanceData:
@@ -302,29 +333,18 @@ class InstanceData:
     pairs sharing one (d, N), computed once; every bound is a short formula
     over it. Every array has the batch as its leading axis.
 
-    * ``means``: <A_i>; ``moments``: tr(rho A_i A_j), complex;
-    * ``cov``: the covariance matrices C_ij = Re tr(rho A_i A_j) - <A_i><A_j>;
-    * ``skew_corr``: the Wigner-Yanase correlation matrices
-      K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>;
-    * ``amplitudes``: the (B, N, d) stack of amplitude vectors.
-
-    Variance and skew information are quadratic forms, so
-    Var(A_i +- A_j) = C_ii + C_jj +- 2 C_ij, I(A_i +- A_j) = K_ii + K_jj +- 2 K_ij,
-    and Var(sum A), I(sum A) sum every entry of C, K. :func:`_quadratic_forms`
-    precomputes them as ``variances``, ``var_plus``, ``var_minus``,
-    ``var_total`` and ``skews``, ``skew_plus``, ``skew_minus``, ``skew_total``;
-    variance forms are clamped against Re tr(rho A_i A_j), skew forms against K.
+    * ``moments``: tr(rho A_i A_j), complex;
+    * ``variance``: the :class:`QuadraticForm` of the covariance matrices
+      C_ij = Re tr(rho A_i A_j) - <A_i><A_j>, clamped against Re tr(rho A_i A_j);
+    * ``skew``: that of the Wigner-Yanase correlation matrices
+      K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>, clamped against K;
+    * ``amplitudes``: the (B, N, d) stack of amplitude vectors, computed on
+      first read.
 
     ``InstanceData(rho, observables)`` is the batch of one. Each instance's
     numbers go through the operations they would go through alone, in the
     same order, so batching changes no bits.
     """
-
-    __slots__ = (
-        "n", "means", "moments", "cov", "skew_corr", "amplitudes",
-        "variances", "var_plus", "var_minus", "var_total",
-        "skews", "skew_plus", "skew_minus", "skew_total",
-    )
 
     def __init__(self, rho, observables):
         self._build(*_coerce_batch([(rho, observables)]))
@@ -336,29 +356,32 @@ class InstanceData:
         self.n = n
         rho = np.array([s.mat for s in states])
         a = np.array([[o.mat for o in obs] for obs in sets])
+        self._rho, self._a, self._sets = rho, a, sets
         ra = rho[:, None] @ a
-        self.means = np.trace(ra, axis1=2, axis2=3).real
+        means = np.trace(ra, axis1=2, axis2=3).real
         # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
         self.moments = ra.reshape(b, n, -1) @ a.reshape(b, n, -1).conj().transpose(0, 2, 1)
         second = self.moments.real
-        self.cov = second - self.means[:, :, None] * self.means[:, None, :]
+        cov = second - means[:, :, None] * means[:, None, :]
         root = np.array([s.sqrt().mat for s in states])[:, None]
         comm = (root @ a - a @ root).reshape(b, n, -1).view(np.float64)
-        self.skew_corr = 0.5 * (comm @ comm.transpose(0, 2, 1))
-        (self.variances, self.var_plus, self.var_minus,
-         self.var_total) = _quadratic_forms(self.cov, second, "variance")
-        (self.skews, self.skew_plus, self.skew_minus,
-         self.skew_total) = _quadratic_forms(self.skew_corr, self.skew_corr, "skew information")
-        # the amplitude vectors of :func:`measures.amplitude_vector`; one
-        # mean einsum per observable, since a single einsum over all N of
-        # them sums <A_k> in another order
-        eigs = [[o.eigensystem for o in obs] for obs in sets]
+        skew_corr = 0.5 * (comm @ comm.transpose(0, 2, 1))
+        self.variance = _quadratic_forms(cov, second, "variance")
+        self.skew = _quadratic_forms(skew_corr, skew_corr, "skew information")
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitude vectors of :func:`measures.amplitude_vector`; one
+        mean einsum per observable, since a single einsum over all N of them
+        sums <A_k> in another order."""
+        rho, a, n = self._rho, self._a, self.n
+        eigs = [[o.eigensystem for o in obs] for obs in self._sets]
         values = np.array([[e.values for e in row] for row in eigs])
         vectors = np.array([[e.vectors for e in row] for row in eigs])
         mean = np.stack([np.einsum("bij,bji->b", rho, a[:, k]) for k in range(n)], axis=1).real
         probs = np.einsum("bnik,bij,bnjk->bnk", vectors.conj(), rho, vectors).real
         probs = np.clip(probs, 0.0, None)
-        self.amplitudes = np.abs(values - mean[:, :, None]) * np.sqrt(probs)
+        return np.abs(values - mean[:, :, None]) * np.sqrt(probs)
 
 
 def _root_sum_sq(values: np.ndarray) -> np.ndarray:
@@ -367,19 +390,19 @@ def _root_sum_sq(values: np.ndarray) -> np.ndarray:
     return root * root
 
 
-# the formulas: each maps the instance data to (values, details), values
-# with one entry per instance and details a per-instance list, or None
+# the formulas: each maps its entry's form or the instance data to (values,
+# details), values with one entry per instance and details a list, or None
 def _theorem1(q: InstanceData):
     """The permutation scan's maximum and its maximizing tuple."""
     best, perms = _kernels.theorem1_scan(q.amplitudes)
     return best, [PermutationTuple(p) for p in perms]
 
 
-def _song(q: InstanceData):
-    """Variance bound (1/N) * ( (Delta sum A)^2
-    + (2 / (N (N - 1))) * (sum_{i<j} Delta(A_i - A_j))^2 )."""
-    n = q.n
-    val = (q.var_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.var_minus)) / n
+def _song(f: QuadraticForm):
+    """Bound (1/N) * ( q(sum A) + (2 / (N (N - 1))) * (sum_{i<j} sqrt(q(A_i - A_j)))^2 )
+    over a form q: Song's on the variance sum, Zhang's on the skew sum."""
+    n = f.n
+    val = (f.total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(f.minus)) / n
     return val, None
 
 
@@ -404,9 +427,9 @@ def _chen_variance(q: InstanceData):
     return val, None
 
 
-def _mp_quadratic(q: InstanceData):
+def _mp_quadratic(f: QuadraticForm):
     """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
-    return 0.5 * q.var_plus[:, 0], None
+    return 0.5 * f.plus[:, 0], None
 
 
 def _robertson(q: InstanceData):
@@ -418,80 +441,70 @@ def _robertson(q: InstanceData):
     # Python's complex abs, which is libm hypot as for one instance alone;
     # numpy's vectorized complex abs rounds differently on many inputs
     val = np.array([0.5 * abs(z) for z in (q.moments[:, 0, 1] - q.moments[:, 1, 0]).tolist()])
-    product = np.sqrt(q.variances[:, 0]) * np.sqrt(q.variances[:, 1])
+    product = np.sqrt(q.variance.diag[:, 0]) * np.sqrt(q.variance.diag[:, 1])
     return val, [{"delta_product": x} for x in product.tolist()]
 
 
-def _theorem2a(q: InstanceData):
+def _theorem2a(f: QuadraticForm):
     """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i + A_j)))^2
     + sum_{i<j} I(A_i - A_j) )."""
-    n = q.n
-    val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_plus) + q.skew_minus.sum(axis=1)
-    ) / (2.0 * n - 2.0)
+    n = f.n
+    val = (2.0 / (n * (n - 1.0)) * _root_sum_sq(f.plus) + f.minus.sum(axis=1)) / (2.0 * n - 2.0)
     return val, None
 
 
-def _theorem2b(q: InstanceData):
+def _theorem2b(f: QuadraticForm):
     """Skew bound (1 / (2N - 2)) * ( (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2
     + sum_{i<j} I(A_i + A_j) )."""
-    n = q.n
-    val = (
-        2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus) + q.skew_plus.sum(axis=1)
-    ) / (2.0 * n - 2.0)
+    n = f.n
+    val = (2.0 / (n * (n - 1.0)) * _root_sum_sq(f.minus) + f.plus.sum(axis=1)) / (2.0 * n - 2.0)
     return val, None
 
 
-def _zhang(q: InstanceData):
-    """Skew bound (1/N) * ( I(sum A)
-    + (2 / (N (N - 1))) * (sum_{i<j} sqrt(I(A_i - A_j)))^2 )."""
-    n = q.n
-    val = (q.skew_total + 2.0 / (n * (n - 1.0)) * _root_sum_sq(q.skew_minus)) / n
-    return val, None
-
-
-def _chen_skew(q: InstanceData):
+def _chen_skew(f: QuadraticForm):
     """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
     - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
-    n = q.n
-    val = (q.skew_plus.sum(axis=1) - _root_sum_sq(q.skew_plus) / (n - 1.0) ** 2) / (n - 2.0)
+    n = f.n
+    val = (f.plus.sum(axis=1) - _root_sum_sq(f.plus) / (n - 1.0) ** 2) / (n - 2.0)
     return val, None
 
 
-def _parallelogram_sum(q: InstanceData):
+def _parallelogram_sum(f: QuadraticForm):
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
-    return q.skew_plus.sum(axis=1) / (2.0 * q.n - 2.0), None
+    return f.plus.sum(axis=1) / (2.0 * f.n - 2.0), None
 
 
-def _parallelogram_diff(q: InstanceData):
+def _parallelogram_diff(f: QuadraticForm):
     """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i - A_j)."""
-    return q.skew_minus.sum(axis=1) / (2.0 * q.n - 2.0), None
+    return f.minus.sum(axis=1) / (2.0 * f.n - 2.0), None
 
 
 @dataclass(frozen=True)
 class Bound:
     """One catalog entry: the bound's name and family, the observable counts
-    ``min_n <= N <= max_n`` it applies to, and its formula."""
+    ``min_n <= N <= max_n`` it applies to, its formula, and the form it
+    reads, ``"variance"`` or ``"skew"``, or None for the instance data."""
 
     name: str
     family: str
-    formula: Callable[[InstanceData], tuple]
+    formula: Callable[..., tuple]
+    form: str | None = None
     min_n: int = 2
     max_n: float = math.inf
 
 
 BOUNDS = (
     Bound("theorem1", "variance", _theorem1),
-    Bound("song", "variance", _song),
+    Bound("song", "variance", _song, "variance"),
     Bound("chen_variance", "variance", _chen_variance),
-    Bound("mp_quadratic", "variance", _mp_quadratic, max_n=2),
+    Bound("mp_quadratic", "variance", _mp_quadratic, "variance", max_n=2),
     Bound("robertson", "product", _robertson, max_n=2),
-    Bound("theorem2a", "skew", _theorem2a),
-    Bound("theorem2b", "skew", _theorem2b),
-    Bound("zhang", "skew", _zhang),
-    Bound("chen_skew", "skew", _chen_skew, min_n=3),
-    Bound("parallelogram_sum", "skew", _parallelogram_sum),
-    Bound("parallelogram_diff", "skew", _parallelogram_diff),
+    Bound("theorem2a", "skew", _theorem2a, "skew"),
+    Bound("theorem2b", "skew", _theorem2b, "skew"),
+    Bound("zhang", "skew", _song, "skew"),
+    Bound("chen_skew", "skew", _chen_skew, "skew", min_n=3),
+    Bound("parallelogram_sum", "skew", _parallelogram_sum, "skew"),
+    Bound("parallelogram_diff", "skew", _parallelogram_diff, "skew"),
 )
 FAMILY = {b.name: b.family for b in BOUNDS}
 CATALOG = tuple(FAMILY)
@@ -519,10 +532,10 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> l
     with np.errstate(over="ignore", invalid="ignore"):
         data = InstanceData.__new__(InstanceData)
         data._build(states, sets)
-        columns = [(b, *b.formula(data)) if b.min_n <= n <= b.max_n else (b, None, None)
-                   for b in entries]
-        variance_sums = data.variances.sum(axis=1).tolist()
-        skew_sums = data.skews.sum(axis=1).tolist()
+        columns = [(b, *b.formula(getattr(data, b.form) if b.form else data))
+                   if b.min_n <= n <= b.max_n else (b, None, None) for b in entries]
+        variance_sums = data.variance.diag.sum(axis=1).tolist()
+        skew_sums = data.skew.diag.sum(axis=1).tolist()
     reports = []
     for k, (variance_sum, skew_sum) in enumerate(zip(variance_sums, skew_sums)):
         if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):

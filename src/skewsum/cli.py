@@ -91,17 +91,28 @@ def _write_csv(path: str, columns, rows):
 # ---------------------------------------------------------------------------
 
 
+def _float(x, where: str) -> float:
+    """``float(x)`` of a JSON number; an integer too large for a float is an
+    input error, not an ``OverflowError``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise CliInputError(
+            f"{where}: expected a finite number, got an integer too large for a float"
+        ) from None
+
+
 def _parse_scalar(x, where: str) -> complex:
     if isinstance(x, bool):
         raise CliInputError(f"{where}: expected number or [re, im], got {x!r}")
     if isinstance(x, (int, float)):
-        return complex(float(x), 0.0)
+        return complex(_float(x, where), 0.0)
     if (
         isinstance(x, list)
         and len(x) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
     ):
-        return complex(float(x[0]), float(x[1]))
+        return complex(_float(x[0], where), _float(x[1], where))
     raise CliInputError(f"{where}: expected number or [re, im], got {x!r}")
 
 
@@ -142,7 +153,7 @@ def _parse_state(obj) -> DensityMatrix:
         for i, c in enumerate(r):
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise CliInputError(f"state.r[{i}]: expected a real number")
-            comps.append(float(c))
+            comps.append(_float(c, f"state.r[{i}]"))
         return from_bloch(comps)
     except (LinalgError, ValueError) as exc:
         raise CliInputError(f"state: {exc}") from exc
@@ -218,8 +229,8 @@ def cmd_evaluate(args) -> int:
     budget = args.budget if args.budget is not None else _integer_field(
         data, "budget", DEFAULT_BUDGET, "budget"
     )
-    tolerance = args.tolerance if args.tolerance is not None else float(
-        _number_field(data, "tolerance", DEFAULT_TOLERANCE, "tolerance")
+    tolerance = args.tolerance if args.tolerance is not None else _float(
+        _number_field(data, "tolerance", DEFAULT_TOLERANCE, "tolerance"), "tolerance"
     )
     report = evaluate_all(
         state, obs, budget=budget, tolerance=tolerance, metadata={"dim": state.dim, "n": obs.n}

@@ -379,6 +379,23 @@ class TestEvaluateAll:
         clone = BoundValue.from_dict(bv.to_dict())
         assert clone == bv
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", True, math.nan, math.inf, -math.inf])
+    def test_bound_value_rejects_a_value_that_is_not_a_finite_number(self, value):
+        data = BoundValue("song", 1.5).to_dict()
+        data["value"] = value
+        with pytest.raises(ValueError, match="bound song value: expected a finite number"):
+            BoundValue.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["variance_sum", "skew_sum"])
+    @pytest.mark.parametrize("value", ["nan", "2.0", False, math.nan, -math.inf, 10**400])
+    def test_report_rejects_a_sum_that_is_not_a_finite_number(self, make_instance, field,
+                                                               value):
+        state, obs = make_instance(2, 2, 14)
+        data = evaluate_all(state, obs).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field}: expected a finite number"):
+            BoundReport.from_dict(data)
+
     @pytest.mark.parametrize("value,applicable", [(1.5, False), (None, True)])
     def test_bound_value_rejects_contradictory_applicable(self, value, applicable):
         data = BoundValue("song", value).to_dict()
@@ -483,9 +500,10 @@ class TestEvaluateBatch:
 
 
 def _patched(monkeypatch, formulas):
-    """Replace the named entries' formulas in the table ``evaluate_all`` reads."""
-    table = [dataclasses.replace(b, formula=formulas[b.name]) if b.name in formulas else b
-             for b in bounds.BOUNDS]
+    """Replace the named entries' formulas in the table ``evaluate_all`` reads
+    by formulas over the whole instance data."""
+    table = [dataclasses.replace(b, formula=formulas[b.name], form=None)
+             if b.name in formulas else b for b in bounds.BOUNDS]
     monkeypatch.setattr(bounds, "BOUNDS", tuple(table))
 
 
@@ -498,10 +516,10 @@ class TestOnePass:
         # one per family: robertson's target is the product in its detail
         state, obs = make_instance(3, 2, 40)
         assert evaluate_all(state, obs).violations == ()
-        formula = getattr(bounds, f"_{name}")
+        row = next(b for b in bounds.BOUNDS if b.name == name)
 
         def inflated(q):
-            value, detail = formula(q)
+            value, detail = row.formula(getattr(q, row.form) if row.form else q)
             return 2.0 * value + 1.0, detail
 
         _patched(monkeypatch, {name: inflated})
@@ -511,7 +529,7 @@ class TestOnePass:
         state, obs = make_instance(3, 3, 41)
 
         def variance_sum(q):
-            return q.variances.sum(axis=1), None
+            return q.variance.diag.sum(axis=1), None
 
         _patched(monkeypatch, {"song": variance_sum, "chen_variance": variance_sum})
         report = evaluate_all(state, obs)
@@ -525,7 +543,7 @@ class TestOnePass:
         tolerance = 1e-8
 
         def at_edge(q):
-            edge = [t + tolerance * max(1.0, t) for t in q.variances.sum(axis=1).tolist()]
+            edge = [t + tolerance * max(1.0, t) for t in q.variance.diag.sum(axis=1).tolist()]
             return np.array(edge), None
 
         def past_edge(q):
@@ -669,6 +687,16 @@ class TestComputeOnce:
         solves[0] = 0  # the state's solve happened at construction
         evaluate_all(state, obs)
         assert solves[0] == n
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_standalone_bound_solves_only_for_amplitude_vectors(self, make_instance, solves,
+                                                               name):
+        # only theorem1 and chen_variance read amplitude vectors, which need
+        # every observable's eigensystem
+        state, obs = make_instance(3, 2, 1001)
+        solves[0] = 0
+        bounds._BOUND_FUNCS[name](state, obs)
+        assert solves[0] == (2 if name in ("theorem1", "chen_variance") else 0)
 
     def test_sweep_point_solves_only_the_state(self, solves):
         evaluate_all(*example3_instance(0.3))

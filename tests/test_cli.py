@@ -105,6 +105,19 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--input", _write_problem(tmp_path, bad_kind)]) == 1
         assert "state.kind" in capsys.readouterr().err
 
+        # integers too large for a float used to raise OverflowError
+        huge = 10**400
+        for field, data in [
+            ("observables[0][0][1]", dict(PAULI_PROBLEM, observables=[[[0, huge], [huge, 0]]] * 2)),
+            ("state.amplitudes[1]", dict(PAULI_PROBLEM, state={"kind": "pure",
+                                                               "amplitudes": [1, [0, huge]]})),
+            ("state.r[2]", dict(PAULI_PROBLEM, state={"kind": "bloch", "r": [0, 0, huge]})),
+        ]:
+            assert cli.main(["evaluate", "--input", _write_problem(tmp_path, data)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {field}: expected a finite number, got an integer too large for a float\n"
+            )
+
     def test_non_hermitian_observable(self, tmp_path, capsys):
         data = dict(PAULI_PROBLEM, observables=[[[0, 1], [0, 0]], [[1, 0], [0, 1]]])
         assert cli.main(["evaluate", "--input", _write_problem(tmp_path, data)]) == 1
@@ -165,7 +178,7 @@ class TestEvaluate:
     def test_nan_tolerance_is_input_error(self, tmp_path, capsys, source):
         # a NaN tolerance used to disable the violation check and exit 0; a
         # negative one flagged every bound
-        for tolerance in (math.nan, -1.0):
+        for tolerance in (math.nan, -1.0, 10**400):
             if source == "flag":
                 argv = ["--input", _write_problem(tmp_path, PAULI_PROBLEM),
                         "--tolerance", str(tolerance)]
@@ -328,8 +341,10 @@ class TestSweep:
         spec = SweepSpec.default("example1", step=math.pi / 4)
         argv = ["sweep", "--scenario", "example1", "--theta-grid", f"0:{math.pi}:{math.pi / 4}"]
 
+        formula = next(b.formula for b in bounds.BOUNDS if b.name == "zhang")
+
         def inflated(q):
-            value, detail = bounds._zhang(q)
+            value, detail = formula(q)
             return 2.0 * value + 1.0, detail
 
         table = [dataclasses.replace(b, formula=inflated) if b.name == "zhang" else b
