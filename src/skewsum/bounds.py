@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .linalg import HermitianMatrix
 from .measures import NEGATIVE_CLAMP
-from .states import DensityMatrix
+from .states import DensityMatrix, PureState
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_TOLERANCE = 1e-8
@@ -249,11 +249,32 @@ class BoundReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundReport":
+        """The report ``to_dict`` wrote; ``ValueError`` naming the field
+        unless the bounds are the catalog in order, each violation is an
+        applicable bound named once, and each ``tightest_*`` is None or an
+        applicable bound of its family."""
+        bounds = tuple(BoundValue.from_dict(b) for b in data["bounds"])
+        names = tuple(b.name for b in bounds)
+        if names != CATALOG:
+            raise ValueError(f"bounds: expected {', '.join(CATALOG)}, got {', '.join(names)}")
+        applicable = [b.name for b in bounds if b.applicable]
+        violations = tuple(data["violations"])
+        for k, name in enumerate(violations):
+            if name not in applicable:
+                raise ValueError(f"violations: {name!r} is not an applicable bound")
+            if name in violations[:k]:
+                raise ValueError(f"violations: {name!r} is repeated")
+        for family in ("variance", "skew"):
+            name = data[f"tightest_{family}"]
+            if name is not None and not (name in applicable and FAMILY[name] == family):
+                raise ValueError(
+                    f"tightest_{family}: {name!r} is not an applicable {family} bound"
+                )
         return cls(
             variance_sum=_finite_number(data["variance_sum"], "variance_sum"),
             skew_sum=_finite_number(data["skew_sum"], "skew_sum"),
-            bounds=tuple(BoundValue.from_dict(b) for b in data["bounds"]),
-            violations=tuple(data["violations"]),
+            bounds=bounds,
+            violations=violations,
             tightest_variance=data["tightest_variance"],
             tightest_skew=data["tightest_skew"],
             metadata=dict(data.get("metadata") or {}),
@@ -338,6 +359,8 @@ class InstanceData:
       C_ij = Re tr(rho A_i A_j) - <A_i><A_j>, clamped against Re tr(rho A_i A_j);
     * ``skew``: that of the Wigner-Yanase correlation matrices
       K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>, clamped against K;
+      for a :class:`PureState`, sqrt(rho) = rho and K = C, so its skew form is
+      its variance form, bit for bit;
     * ``amplitudes``: the (B, N, d) stack of amplitude vectors, computed on
       first read.
 
@@ -363,11 +386,17 @@ class InstanceData:
         self.moments = ra.reshape(b, n, -1) @ a.reshape(b, n, -1).conj().transpose(0, 2, 1)
         second = self.moments.real
         cov = second - means[:, :, None] * means[:, None, :]
-        root = np.array([s.sqrt().mat for s in states])[:, None]
-        comm = (root @ a - a @ root).reshape(b, n, -1).view(np.float64)
-        skew_corr = 0.5 * (comm @ comm.transpose(0, 2, 1))
+        # sqrt(rho) = rho for a pure state, so K = C there, clamped against
+        # the same scale; the commutator Gram runs over the mixed states only
+        skew_corr, skew_scale = cov.copy(), second.copy()
+        mixed = [k for k, s in enumerate(states) if not isinstance(s, PureState)]
+        if mixed:
+            root = np.array([states[k].sqrt().mat for k in mixed])[:, None]
+            am = a[mixed]
+            comm = (root @ am - am @ root).reshape(len(mixed), n, -1).view(np.float64)
+            skew_corr[mixed] = skew_scale[mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
         self.variance = _quadratic_forms(cov, second, "variance")
-        self.skew = _quadratic_forms(skew_corr, skew_corr, "skew information")
+        self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:

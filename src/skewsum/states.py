@@ -47,9 +47,10 @@ class DensityMatrix(HermitianMatrix):
 
     Construction validates the matrix as a :class:`HermitianMatrix`, then
     requires unit trace (within ``TRACE_ATOL``), then takes the principal
-    square root with :func:`sqrt_psd`, which rejects eigenvalues below
-    ``PSD_EIG_FLOOR``. The eigendecomposition runs once, up front, and is
-    cached; every skew-information evaluation reads the cached root.
+    square root from ``_root``: here :func:`sqrt_psd`, which solves the
+    eigensystem, caches it and rejects eigenvalues below ``PSD_EIG_FLOOR``;
+    every skew-information evaluation reads the cached root. A
+    :class:`PureState` takes its root without an eigensolve.
     ``DensityMatrix.coerce`` applies these checks to anything that is not
     already a ``DensityMatrix``, a plain ``HermitianMatrix`` included.
     """
@@ -61,7 +62,10 @@ class DensityMatrix(HermitianMatrix):
         trace = float(np.trace(self.mat).real)
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
-        self._sqrt = sqrt_psd(self)
+        self._sqrt = self._root()
+
+    def _root(self) -> HermitianMatrix:
+        return sqrt_psd(self)
 
     def sqrt(self) -> HermitianMatrix:
         """Principal square root, computed at construction."""
@@ -74,7 +78,32 @@ class DensityMatrix(HermitianMatrix):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def pure_state(amplitudes) -> DensityMatrix:
+class PureState(DensityMatrix):
+    """The rank-one projector |psi><psi| of a unit vector ``psi``.
+
+    A projector is its own square root, so the root is the matrix itself,
+    exactly, and no eigensystem is solved at construction; one is solved
+    only where something reads it, such as :meth:`purity`. With sqrt(rho) =
+    rho the Wigner-Yanase skew information equals the variance, and the
+    evaluation takes the skew correlation matrix K to be the covariance
+    matrix C. :func:`pure_state` normalizes a vector and makes one; a
+    matrix given to :class:`DensityMatrix` takes the general path even when
+    it has rank one. ``psi`` is read-only, as ``mat`` is.
+    """
+
+    __slots__ = ("psi",)
+
+    def __init__(self, psi):
+        psi = np.array(psi, dtype=np.complex128)
+        psi.setflags(write=False)
+        self.psi = psi
+        super().__init__(np.outer(psi, psi.conj()))
+
+    def _root(self) -> HermitianMatrix:
+        return self
+
+
+def pure_state(amplitudes) -> PureState:
     """Density matrix |psi><psi| of a state vector, normalizing if needed."""
     psi = np.array(amplitudes, dtype=np.complex128).reshape(-1)
     if psi.size == 0:
@@ -87,8 +116,7 @@ def pure_state(amplitudes) -> DensityMatrix:
     nrm, _ = rescaled_norm(psi)
     if nrm <= 0.0:
         raise ValueError("state vector has zero norm")
-    psi = psi / nrm
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return PureState(psi / nrm)
 
 
 def from_bloch(r) -> DensityMatrix:
@@ -100,7 +128,7 @@ def from_bloch(r) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def random_pure(dim: int, seed: int) -> DensityMatrix:
+def random_pure(dim: int, seed: int) -> PureState:
     """Haar-distributed pure state of dimension ``dim``."""
     if dim < 1:
         raise ValueError("dim must be positive")

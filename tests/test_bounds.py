@@ -35,7 +35,7 @@ from skewsum.bounds import (
 from skewsum.linalg import HermitianMatrix, NotHermitianError, sqrt_psd
 from skewsum.measures import amplitude_vector, expectation, skew_information, variance
 from skewsum.scenarios import example1_instance, example2_instance, example3_instance
-from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state, random_mixed
+from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state, random_mixed, random_pure
 
 EX1_POINT = (math.pi / 2, math.pi / 4)
 # entries near 1e200 overflow the second moments of this instance
@@ -374,6 +374,23 @@ class TestEvaluateAll:
         with pytest.raises(ValueError, match="name: unknown bound 'bogus'"):
             BoundReport.from_dict(data)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("bounds", lambda bounds: bounds[:2], "bounds: expected theorem1, song, "),
+        ("violations", ["nope", 3], "violations: 'nope' is not an applicable bound"),
+        ("violations", ["chen_skew"], "violations: 'chen_skew' is not an applicable bound"),
+        ("violations", ["song", "song"], "violations: 'song' is repeated"),
+        ("tightest_variance", "bogus", "tightest_variance: 'bogus' is not an applicable"),
+        ("tightest_skew", "song", "tightest_skew: 'song' is not an applicable skew bound"),
+        ("tightest_skew", "chen_skew", "tightest_skew: 'chen_skew' is not an applicable"),
+    ])
+    def test_report_rejects_fields_that_contradict_the_catalog(self, make_instance, field,
+                                                                value, message):
+        state, obs = make_instance(2, 2, 14)  # N = 2: chen_skew does not apply
+        data = evaluate_all(state, obs).to_dict()
+        data[field] = value(data[field]) if callable(value) else value
+        with pytest.raises(ValueError, match=message):
+            BoundReport.from_dict(data)
+
     def test_bound_value_serialization_with_permutations(self):
         bv = BoundValue("theorem1", 1.5, PermutationTuple(((0, 1), (1, 0))))
         clone = BoundValue.from_dict(bv.to_dict())
@@ -699,11 +716,25 @@ class TestComputeOnce:
         assert solves[0] == (2 if name in ("theorem1", "chen_variance") else 0)
 
     def test_sweep_point_solves_only_the_state(self, solves):
+        # a pure state takes sqrt(rho) = rho and K = C: no solve at all
         evaluate_all(*example3_instance(0.3))
         for theta in (0.5, 1.0, 2.5):
             solves[0] = 0
             evaluate_all(*example3_instance(theta))
+            assert solves[0] == 0
+
+    def test_mixed_sweep_point_solves_the_state_once(self, solves):
+        evaluate_all(*example2_instance(0.3))
+        for theta in (0.5, 1.0, 2.5):
+            solves[0] = 0
+            evaluate_all(*example2_instance(theta))
             assert solves[0] == 1
+
+    @pytest.mark.parametrize("factory,expected", [(random_pure, 0), (random_mixed, 1)])
+    def test_state_construction_solves_only_mixed_states(self, solves, factory, expected):
+        solves[0] = 0
+        factory(3, seed=17)
+        assert solves[0] == expected
 
     def test_sqrt_psd_reuses_the_cached_eigensystem(self, solves):
         rho = random_mixed(3, seed=5)  # solved at construction
@@ -713,3 +744,55 @@ class TestComputeOnce:
         for matrix in (rho, m):
             np.testing.assert_array_equal(sqrt_psd(matrix).mat, rho.sqrt().mat)
         assert solves[0] == 0
+
+
+def _pure_instances(seed: int, per_cell: int) -> list:
+    """``per_cell`` pure fuzz instances (the even trials) per (d, N) cell,
+    d, N in {2, 3, 4}, then the example1 and example3 points at theta =
+    0.1, 0.2, ..., 3.0."""
+    from skewsum.cli import fuzz_instance
+
+    draws = [fuzz_instance(seed, dim, n, 2 * t)
+             for dim in (2, 3, 4) for n in (2, 3, 4) for t in range(per_cell)]
+    assert {kind for _, _, kind in draws} == {"pure"}
+    instances = [(state, obs) for state, obs, _ in draws]
+    thetas = [k / 10.0 for k in range(1, 31)]
+    return instances + [make(theta) for make in (example1_instance, example3_instance)
+                        for theta in thetas]
+
+
+class TestPureStates:
+    """sqrt(rho) = rho for a pure state, so skew information is variance."""
+
+    def test_skew_equals_variance_bit_for_bit(self):
+        for state, obs in _pure_instances(seed=3, per_cell=3):
+            data = InstanceData(state, obs)
+            for name in data.skew._fields:
+                assert getattr(data.skew, name).tobytes() == getattr(data.variance, name).tobytes()
+            report = evaluate_all(state, obs)
+            assert report.skew_sum.hex() == report.variance_sum.hex()
+            assert report.value("zhang").hex() == report.value("song").hex()
+
+    def test_sums_match_a_40_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        instances = _pure_instances(seed=7, per_cell=6)
+        assert len(instances) == 114
+        worst = {"variance_sum": 0.0, "skew_sum": 0.0}
+        with mpmath.workdps(40):
+            for state, obs in instances:
+                d = state.dim
+                rho = [[mpmath.mpc(complex(x)) for x in row] for row in state.mat]
+                exact = mpmath.mpf(0)
+                for o in obs:
+                    a = [[mpmath.mpc(complex(x)) for x in row] for row in o.mat]
+                    ra = [[mpmath.fsum(rho[i][k] * a[k][j] for k in range(d)) for j in range(d)]
+                          for i in range(d)]
+                    mean = mpmath.fsum(ra[i][i] for i in range(d)).real
+                    second = mpmath.fsum(ra[i][k] * a[k][i] for i in range(d)
+                                         for k in range(d)).real
+                    exact += second - mean * mean
+                report = evaluate_all(state, obs)
+                for key in worst:
+                    err = float(abs(getattr(report, key) - exact) / exact)
+                    worst[key] = max(worst[key], err)
+        assert max(worst.values()) <= 1e-15, worst

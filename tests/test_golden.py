@@ -14,10 +14,10 @@ import pytest
 from skewsum import cli
 
 GOLDEN = {
-    "fuzz_d234_n234_t3_s1": "f44dfa1f66eb0078b974c3f57f50d7a8f578e3e71cc52caeab61a799995e2a22",
-    "sweep_example1": "29e56555292f35223e8a406c302596112344008e741b3d239a69f04b482bbbb2",
+    "fuzz_d234_n234_t3_s1": "4826d9bc162b056f835cb0b56993c445475757d21cddc0f59e06147ede468148",
+    "sweep_example1": "860a90cd57e0d14ea8480d2c65922bbdfa04aa68aee17a495a848b3110d8ea21",
     "sweep_example2": "185fc580add5289d8f8cb96535898333e571fff788345cedde9aa468ea15036b",
-    "sweep_example3": "c1607fa42f2d9c9cd5cced335f95b45aea95daf12a49d311264472e08bc407e5",
+    "sweep_example3": "52289bd09ba77bf118c3960900e62a6956c47d88853c31b0eab1425c92d8b122",
     "evaluate_d4_n4_s1_t1": "4e53aea73cd3d3a110d8828ee7175e195649cef067ff32a11e0a44c41b84de32",
 }
 

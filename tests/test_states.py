@@ -13,6 +13,7 @@ from skewsum.states import (
     SIGMA_Z,
     BlochVector,
     DensityMatrix,
+    PureState,
     from_bloch,
     pure_state,
     random_mixed,
@@ -73,7 +74,8 @@ class TestDensityMatrix:
 
     def test_sqrt_of_pure_state_is_projector(self):
         rho = random_pure(4, seed=6)
-        assert np.max(np.abs(rho.sqrt().mat - rho.mat)) < 1e-10
+        assert isinstance(rho, PureState) and rho.sqrt() is rho
+        assert rho.purity() == pytest.approx(1.0)  # the eigensystem, solved on demand
 
     def test_sqrt_squares_back(self):
         rho = random_mixed(4, seed=7)
@@ -108,6 +110,18 @@ class TestPureState:
             np.testing.assert_array_equal(rho.mat, expected)
         else:
             np.testing.assert_allclose(rho.mat, expected, rtol=1e-15)
+
+    def test_keeps_its_unit_vector_read_only(self):
+        rho = pure_state([2.0, 2.0j])
+        np.testing.assert_array_equal(rho.psi, np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.psi[0] = 0.0
+
+    def test_a_projector_given_as_a_matrix_takes_the_general_path(self):
+        rho = pure_state([0.6, 0.8j])
+        general = DensityMatrix(rho.mat)
+        assert type(general) is DensityMatrix and general.sqrt() is not general
+        np.testing.assert_allclose(general.sqrt().mat, rho.mat, atol=1e-14)
 
     def test_rejects_zero_or_empty_or_nonfinite(self):
         with pytest.raises(ValueError):
