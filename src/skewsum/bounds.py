@@ -5,11 +5,12 @@ name, family, the observable counts it applies to, and a formula over
 :class:`InstanceData`, which holds a batch of instances along a leading
 axis, or over the ``variance`` or ``skew`` :class:`QuadraticForm` it names;
 amplitude vectors are computed only when a formula reads them.
-``evaluate_batch`` evaluates every entry on a batch of instances that
+``evaluate_table`` evaluates every entry on a batch of instances that
 share one (d, N), flags numerical violations, and picks the tightest bound
-per family and instance. ``evaluate_all`` and each
-``bound_<name>(rho, observables)`` are the batch of one; all of them are
-one call to the same pass, ``_evaluate``.
+per family and instance, as the columns of one :class:`BoundTable`;
+``evaluate_batch`` turns that table into one report per instance.
+``evaluate_all`` and each ``bound_<name>(rho, observables)`` are the batch
+of one; all of them are one call to the same pass, ``_evaluate``.
 
 Families:
 
@@ -321,16 +322,20 @@ class QuadraticForm(NamedTuple):
         return self.diag.shape[1]
 
 
-def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticForm:
-    """The :class:`QuadraticForm` of each (B, N, N) batch entry of correlation
-    matrices: m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
+def _quadratic_forms(m: np.ndarray, scale: np.ndarray, kinds: tuple) -> list:
+    """The :class:`QuadraticForm` of each (B, N, N) batch entry of
+    correlation matrices, for each of the K kinds of (K, B, N, N) ``m``:
+    m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
 
     Each form goes through the ``NEGATIVE_CLAMP`` rule of
     :func:`measures.variance`: round-off below zero snaps to 0, anything
-    below ``NEGATIVE_CLAMP * max(1, s)`` raises, where s is the matching sum
-    of diagonal entries of ``scale`` (N times its trace for the total).
+    below ``NEGATIVE_CLAMP * max(1, s)`` raises, naming the first kind, in
+    order, that has such a form; s is the matching sum of diagonal entries
+    of ``scale`` (N times its trace for the total). Every operation acts on
+    one entry's numbers alone, so stacking kinds changes no bits.
     """
-    b, n, _ = m.shape
+    k, b, n, _ = m.shape
+    m, scale = m.reshape(k * b, n, n), scale.reshape(k * b, n, n)
     i, j = _pairs(n)
     p = i.shape[0]
     diag = np.diagonal(m, axis1=1, axis2=2)
@@ -338,15 +343,17 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticFo
     pair_scale = scale_diag[:, i] + scale_diag[:, j]
     pair_diag = diag[:, i] + diag[:, j]
     cross = 2.0 * m[:, i, j]
-    total = m.reshape(b, -1).sum(axis=1, keepdims=True)
+    total = m.reshape(k * b, -1).sum(axis=1, keepdims=True)
     scale_total = n * scale_diag.sum(axis=1, keepdims=True)
     forms = np.concatenate((diag, pair_diag + cross, pair_diag - cross, total), axis=1)
     scales = np.concatenate((scale_diag, pair_scale, pair_scale, scale_total), axis=1)
     bad = forms < NEGATIVE_CLAMP * np.maximum(1.0, np.abs(scales))
     if bad.any():
-        raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
-    forms = np.where(forms < 0.0, 0.0, forms)
-    return QuadraticForm(forms[:, :n], forms[:, n : n + p], forms[:, n + p : -1], forms[:, -1])
+        forms, bad = forms.reshape(k, b, -1), bad.reshape(k, b, -1)
+        kind = next(c for c in range(k) if bad[c].any())
+        raise ValueError(f"{kinds[kind]} {forms[kind][bad[kind]][0]} is negative beyond round-off")
+    forms = np.where(forms < 0.0, 0.0, forms).reshape(k, b, -1)
+    return [QuadraticForm(f[:, :n], f[:, n : n + p], f[:, n + p : -1], f[:, -1]) for f in forms]
 
 
 class InstanceData:
@@ -388,15 +395,14 @@ class InstanceData:
         cov = second - means[:, :, None] * means[:, None, :]
         # sqrt(rho) = rho for a pure state, so K = C there, clamped against
         # the same scale; the commutator Gram runs over the mixed states only
-        skew_corr, skew_scale = cov.copy(), second.copy()
+        corr, scale = np.array([cov, cov]), np.array([second, second])
         mixed = [k for k, s in enumerate(states) if not isinstance(s, PureState)]
         if mixed:
             root = np.array([states[k].sqrt().mat for k in mixed])[:, None]
             am = a[mixed]
             comm = (root @ am - am @ root).reshape(len(mixed), n, -1).view(np.float64)
-            skew_corr[mixed] = skew_scale[mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
-        self.variance = _quadratic_forms(cov, second, "variance")
-        self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
+            corr[1, mixed] = scale[1, mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
+        self.variance, self.skew = _quadratic_forms(corr, scale, ("variance", "skew information"))
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -421,10 +427,16 @@ def _root_sum_sq(values: np.ndarray) -> np.ndarray:
 
 # the formulas: each maps its entry's form or the instance data to (values,
 # details), values with one entry per instance and details a list, or None
+# the scan's tuples recur across instances (a sweep's points mostly share
+# a few), and a PermutationTuple is immutable, so a recurring one is built
+# and validated once
+_permutation_tuple = functools.lru_cache(maxsize=256)(PermutationTuple)
+
+
 def _theorem1(q: InstanceData):
     """The permutation scan's maximum and its maximizing tuple."""
     best, perms = _kernels.theorem1_scan(q.amplitudes)
-    return best, [PermutationTuple(p) for p in perms]
+    return best, [_permutation_tuple(p) for p in perms]
 
 
 def _song(f: QuadraticForm):
@@ -539,11 +551,103 @@ FAMILY = {b.name: b.family for b in BOUNDS}
 CATALOG = tuple(FAMILY)
 
 
-def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> list:
-    """One :class:`BoundReport` per ``(state, observables)`` pair of
-    ``instances`` over the table ``entries``: the one pass behind every
-    public entry point. The batch is validated once; one loop per instance
-    then checks, flags and ranks its values in table order.
+class BoundTable(NamedTuple):
+    """The results of one batch as columns: one row per instance, in order,
+    and one column per catalog entry, in table order.
+
+    * ``names``: each column's bound;
+    * ``applicable``: whether each column's bound applies at the batch's N;
+    * ``values``, ``targets``: (B, E), NaN where the bound does not apply;
+      a target is the variance or skew sum by family, or the product a
+      product bound carries in its detail;
+    * ``violated``: (B, E) bool, ``values > targets + tolerance * max(1, targets)``;
+    * ``tightest``: family -> (B,) column index of the largest applicable
+      value, the first of equal ones, for each family with an applicable
+      column;
+    * ``variance_sums``, ``skew_sums``: (B,);
+    * ``details``: per column, a list of B details, or None.
+
+    Every value is finite where its bound applies: :func:`_evaluate` raises
+    before it returns a table that is not.
+    """
+
+    names: tuple
+    applicable: tuple
+    values: np.ndarray
+    targets: np.ndarray
+    violated: np.ndarray
+    tightest: dict
+    variance_sums: np.ndarray
+    skew_sums: np.ndarray
+    details: tuple
+
+    def violations(self, k: int) -> tuple:
+        """The names of instance ``k``'s violated bounds, in table order."""
+        return tuple(name for name, v in zip(self.names, self.violated[k].tolist()) if v)
+
+    def reports(self) -> list:
+        """One :class:`BoundReport` per instance, in order."""
+        b = len(self.values)
+        # a bound that does not apply reads the same in every report, and
+        # a BoundValue is immutable, so its reports share one
+        columns = [
+            (e, name, [None] * b if detail is None else detail, None if applies
+             else BoundValue(name, None, None))
+            for e, (name, applies, detail) in enumerate(
+                zip(self.names, self.applicable, self.details)
+            )
+        ]
+        picks = {f: [self.names[e] for e in cols.tolist()] for f, cols in self.tightest.items()}
+        no_pick = [None] * b
+        return [
+            BoundReport(
+                variance_sum=variance_sum,
+                skew_sum=skew_sum,
+                bounds=tuple(
+                    shared or BoundValue(name, row[e], detail[k])
+                    for e, name, detail, shared in columns
+                ),
+                violations=tuple(name for name, v in zip(self.names, violated) if v),
+                tightest_variance=picks.get("variance", no_pick)[k],
+                tightest_skew=picks.get("skew", no_pick)[k],
+            )
+            for k, (variance_sum, skew_sum, row, violated) in enumerate(
+                zip(
+                    self.variance_sums.tolist(),
+                    self.skew_sums.tolist(),
+                    self.values.tolist(),
+                    self.violated.tolist(),
+                )
+            )
+        ]
+
+
+def _check_finite(rows: np.ndarray, names: list, applicable: list):
+    """Raise ``ValueError`` for the first instance, in order, with a
+    non-finite sum or applicable value; ``rows`` holds each instance's
+    variance sum, skew sum and values as a column, and a value that does
+    not apply is NaN. The sums are checked first, then the values in table
+    order, as if the instance were evaluated alone."""
+    finite = np.isfinite(rows)
+    if np.count_nonzero(finite) == (2 + sum(applicable)) * rows.shape[1]:
+        return
+    k = int(np.argmin(finite[:2].all(axis=0) & finite[2:][list(applicable)].all(axis=0)))
+    variance_sum, skew_sum = rows.item(0, k), rows.item(1, k)
+    if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
+        raise ValueError(
+            f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
+            "float64 overflow, the observables' entries are too large"
+        )
+    e = next(e for e, a in enumerate(applicable) if a and not finite[2 + e, k])
+    raise ValueError(f"bound {names[e]} has a non-finite value {rows.item(2 + e, k)!r}")
+
+
+def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> BoundTable:
+    """The :class:`BoundTable` of ``(state, observables)`` pairs over the
+    catalog ``entries``: the one pass behind every public entry point. The
+    batch is validated once; its instance data is built once, each entry's
+    formula runs once over it, and the whole table is checked, flagged and
+    ranked at once.
 
     float64 overflow is reported here, as a ``ValueError`` on a non-finite
     sum or applicable value, not by numpy warnings; instances are checked in
@@ -553,51 +657,49 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> l
     """
     check_tolerance(tolerance)
     states, sets = _coerce_batch(instances)
-    if not states:
-        return []
-    n = sets[0].n
-    if budget is not None:
+    n = sets[0].n if states else 0
+    if budget is not None and states:
         check_budget(sets[0].dim, n, budget)
+    # a bound that does not apply reads NaN, and so does its target: it is
+    # never violated, and no tightest pick reads its column
+    nan = np.full(len(states), np.nan)
+    variance_sums = skew_sums = nan
+    # the table is built column-major, (E, B), and transposed on return
+    names, applicable, values, targets, details = [], [], [], [], []
+    members = {"variance": [], "skew": []}  # family -> whether each column is one of its bounds
     with np.errstate(over="ignore", invalid="ignore"):
-        data = InstanceData.__new__(InstanceData)
-        data._build(states, sets)
-        columns = [(b, *b.formula(getattr(data, b.form) if b.form else data))
-                   if b.min_n <= n <= b.max_n else (b, None, None) for b in entries]
-        variance_sums = data.variance.diag.sum(axis=1).tolist()
-        skew_sums = data.skew.diag.sum(axis=1).tolist()
-    reports = []
-    for k, (variance_sum, skew_sum) in enumerate(zip(variance_sums, skew_sums)):
-        if not (math.isfinite(variance_sum) and math.isfinite(skew_sum)):
-            raise ValueError(
-                f"non-finite sums (variance {variance_sum!r}, skew {skew_sum!r}): "
-                "float64 overflow, the observables' entries are too large"
-            )
-        bounds, violations = [], []
-        best = {}  # family -> (name, value) of its largest value; a tie keeps the first
-        for b, values, details in columns:
-            value = None if values is None else values.item(k)
-            bv = BoundValue(b.name, value, None if details is None else details[k])
-            bounds.append(bv)
-            if value is None:
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"bound {b.name} has a non-finite value {value!r}")
-            target = _target(bv, variance_sum, skew_sum)
-            if value > target + tolerance * max(1.0, target):
-                violations.append(b.name)
-            if value > best.get(b.family, (None, -math.inf))[1]:
-                best[b.family] = (b.name, value)
-        reports.append(
-            BoundReport(
-                variance_sum=variance_sum,
-                skew_sum=skew_sum,
-                bounds=tuple(bounds),
-                violations=tuple(violations),
-                tightest_variance=best.get("variance", (None,))[0],
-                tightest_skew=best.get("skew", (None,))[0],
-            )
-        )
-    return reports
+        if states:
+            data = InstanceData.__new__(InstanceData)
+            data._build(states, sets)
+            variance_sums = data.variance.diag.sum(axis=1)
+            skew_sums = data.skew.diag.sum(axis=1)
+        sums = {"variance": variance_sums, "skew": skew_sums}
+        for entry in entries:
+            applies = bool(states) and entry.min_n <= n <= entry.max_n
+            value, detail, target = nan, None, nan
+            if applies:
+                value, detail = entry.formula(getattr(data, entry.form) if entry.form else data)
+                target = sums.get(entry.family)
+                if target is None:  # a product bound carries its target
+                    target = np.array([d["delta_product"] for d in detail])
+            for family, mask in members.items():
+                mask.append(applies and entry.family == family)
+            names.append(entry.name)
+            applicable.append(applies)
+            values.append(value)
+            targets.append(target)
+            details.append(detail)
+        rows = np.array([variance_sums, skew_sums, *values])
+        _check_finite(rows, names, applicable)
+        values, targets = rows[2:], np.array(targets)
+        violated = values > targets + tolerance * np.maximum(1.0, targets)
+    ranked = {family: mask for family, mask in members.items() if any(mask)}
+    masks = np.array(list(ranked.values()), dtype=bool).reshape(len(ranked), len(entries), 1)
+    picks = np.where(masks, values, -np.inf).argmax(axis=1)
+    return BoundTable(
+        tuple(names), tuple(applicable), values.T, targets.T, violated.T,
+        dict(zip(ranked, picks)), rows[0], rows[1], tuple(details),
+    )
 
 
 def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue:
@@ -614,14 +716,14 @@ def bound_theorem1(rho, observables, budget: int = DEFAULT_BUDGET) -> BoundValue
     anything is computed. The returned detail is the maximizing
     :class:`PermutationTuple`, ties broken lexicographically.
     """
-    return _evaluate([(rho, observables)], BOUNDS[:1], budget)[0].bounds[0]  # BOUNDS[0] is theorem1
+    return _evaluate([(rho, observables)], BOUNDS[:1], budget).reports()[0].bounds[0]  # theorem1
 
 
 def _standalone(bound: Bound):
     """``bound_<name>(rho, observables)``: the entry on its own instance data."""
 
     def func(rho, observables) -> BoundValue:
-        return _evaluate([(rho, observables)], (bound,))[0].bounds[0]
+        return _evaluate([(rho, observables)], (bound,)).reports()[0].bounds[0]
 
     func.__name__ = func.__qualname__ = f"bound_{bound.name}"
     func.__doc__ = bound.formula.__doc__
@@ -663,6 +765,17 @@ def evaluate_batch(
     disable it or flag correct values. Tightest bounds are the largest
     applicable value per family, ties going to the earlier catalog entry.
     """
+    return evaluate_table(instances, budget, tolerance).reports()
+
+
+def evaluate_table(
+    instances,
+    budget: int = DEFAULT_BUDGET,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> BoundTable:
+    """:func:`evaluate_batch`'s results as one :class:`BoundTable`, with
+    no report objects, for callers that read columns, such as a sweep. The
+    same checks raise, with the same messages."""
     return _evaluate(instances, BOUNDS, budget, tolerance)
 
 

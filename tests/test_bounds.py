@@ -515,6 +515,29 @@ class TestEvaluateBatch:
                 evaluate_batch(batch)
         assert str(batched.value) == str(alone.value)
 
+    def test_a_non_finite_bound_mid_batch_raises_its_own_message(self, make_instance,
+                                                                   monkeypatch):
+        # the 2nd instance's song value is NaN and the 3rd instance's sums
+        # overflow: the batch raises what the 2nd instance raises alone
+        first, marked = make_instance(2, 2, 1), make_instance(2, 2, 2)
+        marked_sum = evaluate_all(*marked).variance_sum
+        song = next(b for b in bounds.BOUNDS if b.name == "song")
+
+        def nan_where_marked(q):
+            value, detail = song.formula(q.variance)
+            return np.where(q.variance.diag.sum(axis=1) == marked_sum, np.nan, value), detail
+
+        _patched(monkeypatch, {"song": nan_where_marked})
+        with pytest.raises(ValueError) as alone:
+            evaluate_all(*marked)
+        assert str(alone.value) == "bound song has a non-finite value nan"
+        evaluate_all(*first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as batched:
+                evaluate_batch([first, marked, OVERFLOWING])
+        assert str(batched.value) == str(alone.value)
+
 
 def _patched(monkeypatch, formulas):
     """Replace the named entries' formulas in the table ``evaluate_all`` reads
@@ -671,6 +694,19 @@ def test_matches_pairwise_formulas(make_instance, dim, n):
         assert got.keys() == ref.keys()
         for key, value in ref.items():
             assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+def test_a_negative_form_names_the_first_kind_that_has_one():
+    # the variance and skew forms are built in one call, variance first
+    good = np.eye(2)[None].repeat(3, axis=0)
+    bad = good.copy()
+    bad[1] = -np.eye(2)
+    scale = np.array([good, good])
+    kinds = ("variance", "skew information")
+    with pytest.raises(ValueError, match="^skew information -1.0 is negative beyond"):
+        bounds._quadratic_forms(np.array([good, bad]), scale, kinds)
+    with pytest.raises(ValueError, match="^variance -1.0 is negative beyond"):
+        bounds._quadratic_forms(np.array([bad, bad]), scale, kinds)
 
 
 def test_public_api_surface():

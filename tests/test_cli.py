@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from skewsum import bounds, cli
-from skewsum.bounds import BoundReport, BoundValue
+from skewsum.bounds import BoundReport, BoundValue, ObservableSet
 from skewsum.linalg import EigenConvergenceError
 from skewsum.scenarios import SweepSpec, run_sweep
+from skewsum.states import pure_state
 
 PAULI_PROBLEM = {
     "state": {"kind": "pure", "amplitudes": [1, 0]},
@@ -21,6 +22,13 @@ PAULI_PROBLEM = {
         [[1, 0], [0, -1]],
     ],
 }
+
+
+# entries near 1e200 overflow the second moments of this instance
+OVERFLOWING = (
+    pure_state([1, 1]),
+    [np.array([[1e200, 2e200], [2e200, -1e200]]), np.array([[0, -3e200j], [3e200j, 0]])],
+)
 
 
 def _write_problem(tmp_path, data, name="prob.json"):
@@ -579,6 +587,31 @@ class TestFuzz:
         state, obs, kind = cli.fuzz_instance(5, 2, 2, 1)
         assert entry["state_kind"] == kind
         assert entry["state_matrix"] == cli._matrix_json(state.mat)
+
+    def test_a_failing_instance_mid_cell_is_its_own_reproducer(self, tmp_path, monkeypatch):
+        # trial 1 of 3 overflows float64: its reproducer carries the error it
+        # raises alone, and trials 0 and 2 are still counted
+        fuzz_instance = cli.fuzz_instance
+        rho, matrices = OVERFLOWING
+
+        def overflowing_second(seed, dim, n, trial):
+            if trial == 1:
+                return rho, ObservableSet(matrices), "pure"
+            return fuzz_instance(seed, dim, n, trial)
+
+        monkeypatch.setattr(cli, "fuzz_instance", overflowing_second)
+        out = tmp_path / "fuzz.csv"
+        rc = cli.main(["fuzz", "--trials", "3", "--dims", "2", "--ns", "2", "--seed", "5",
+                       "--output", str(out)])
+        assert rc == 2
+        counts = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
+        assert counts == {"2"}
+        repro = json.loads((tmp_path / "fuzz.csv.violations.json").read_text())
+        assert [(e["trial"], e["violations"]) for e in repro] == [(1, [])]
+        with pytest.raises(ValueError) as alone:
+            bounds.evaluate_all(rho, matrices)
+        assert repro[0]["error"] == str(alone.value)
+        assert repro[0]["state_matrix"] == cli._matrix_json(rho.mat)
 
     def test_instance_construction_error_exits_1(self, tmp_path, monkeypatch, capsys):
         # an error building an instance, outside the per-instance evaluation,

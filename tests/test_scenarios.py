@@ -10,6 +10,7 @@ from skewsum.bounds import (
     bound_theorem2a,
     bound_theorem2b,
     bound_zhang,
+    evaluate_batch,
 )
 from skewsum.measures import expectation, skew_information, variance
 from skewsum.scenarios import (
@@ -248,6 +249,24 @@ class TestSweep:
         skew_idx = columns.index("skew_sum")
         for row in rows:
             assert row[skew_idx] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_rows_hold_the_bits_of_the_reports(self, scenario):
+        # the rows are read from the batch's table, not from report objects
+        columns, rows, violations = run_sweep(SweepSpec.default(scenario))
+        k = 2 if SCENARIOS[scenario].uses_phi else 1
+        reports = evaluate_batch([SCENARIOS[scenario].make(*row[:k]) for row in rows])
+        applicable = [b.name for b in reports[0].bounds if b.applicable]
+        assert columns == columns[:k] + ["variance_sum", "skew_sum"] + applicable
+        expected = [
+            row[:k] + [r.variance_sum, r.skew_sum] + [b.value for b in r.bounds if b.applicable]
+            for row, r in zip(rows, reports)
+        ]
+        assert [[x.hex() for x in row] for row in rows] == [
+            [x.hex() for x in row] for row in expected
+        ]
+        assert violations == [(row[:k], r.violations) for row, r in zip(rows, reports)
+                              if r.violations]
 
     def test_scenarios_registry(self):
         assert set(SCENARIOS) == {"example1", "example2", "example3"}
