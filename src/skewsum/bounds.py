@@ -200,15 +200,19 @@ class BoundValue:
         return bv
 
 
-def _target(bv: BoundValue, variance_sum: float, skew_sum: float) -> float | None:
-    """The quantity ``bv`` is a lower bound on: the variance or skew sum by
-    family, or the product a product bound carries in its detail."""
-    if bv.family == "variance":
+def _target(family: str, variance_sum, skew_sum, detail):
+    """The quantity a bound of ``family`` is a lower bound on: the variance
+    or skew sum by family, or else the product a product bound carries in
+    its detail, None without one. Takes one instance's sums and detail, or
+    a batch's sum columns and list of details, and answers in kind."""
+    if family == "variance":
         return variance_sum
-    if bv.family == "skew":
+    if family == "skew":
         return skew_sum
-    if bv.applicable and isinstance(bv.detail, dict):
-        return bv.detail.get("delta_product")
+    if isinstance(detail, list):
+        return np.array([_target(family, None, None, d) for d in detail])
+    if isinstance(detail, dict):
+        return detail.get("delta_product")
     return None
 
 
@@ -235,7 +239,8 @@ class BoundReport:
 
     def target_for(self, bv: BoundValue) -> float | None:
         """The quantity the bound is a lower bound on."""
-        return _target(bv, self.variance_sum, self.skew_sum)
+        detail = bv.detail if bv.applicable else None
+        return _target(bv.family, self.variance_sum, self.skew_sum, detail)
 
     def to_dict(self) -> dict:
         return {
@@ -322,20 +327,16 @@ class QuadraticForm(NamedTuple):
         return self.diag.shape[1]
 
 
-def _quadratic_forms(m: np.ndarray, scale: np.ndarray, kinds: tuple) -> list:
-    """The :class:`QuadraticForm` of each (B, N, N) batch entry of
-    correlation matrices, for each of the K kinds of (K, B, N, N) ``m``:
-    m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
+def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticForm:
+    """The :class:`QuadraticForm` of each (B, N, N) batch entry of correlation
+    matrices: m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
 
     Each form goes through the ``NEGATIVE_CLAMP`` rule of
     :func:`measures.variance`: round-off below zero snaps to 0, anything
-    below ``NEGATIVE_CLAMP * max(1, s)`` raises, naming the first kind, in
-    order, that has such a form; s is the matching sum of diagonal entries
-    of ``scale`` (N times its trace for the total). Every operation acts on
-    one entry's numbers alone, so stacking kinds changes no bits.
+    below ``NEGATIVE_CLAMP * max(1, s)`` raises, where s is the matching sum
+    of diagonal entries of ``scale`` (N times its trace for the total).
     """
-    k, b, n, _ = m.shape
-    m, scale = m.reshape(k * b, n, n), scale.reshape(k * b, n, n)
+    b, n, _ = m.shape
     i, j = _pairs(n)
     p = i.shape[0]
     diag = np.diagonal(m, axis1=1, axis2=2)
@@ -343,17 +344,15 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, kinds: tuple) -> list:
     pair_scale = scale_diag[:, i] + scale_diag[:, j]
     pair_diag = diag[:, i] + diag[:, j]
     cross = 2.0 * m[:, i, j]
-    total = m.reshape(k * b, -1).sum(axis=1, keepdims=True)
+    total = m.reshape(b, -1).sum(axis=1, keepdims=True)
     scale_total = n * scale_diag.sum(axis=1, keepdims=True)
     forms = np.concatenate((diag, pair_diag + cross, pair_diag - cross, total), axis=1)
     scales = np.concatenate((scale_diag, pair_scale, pair_scale, scale_total), axis=1)
     bad = forms < NEGATIVE_CLAMP * np.maximum(1.0, np.abs(scales))
     if bad.any():
-        forms, bad = forms.reshape(k, b, -1), bad.reshape(k, b, -1)
-        kind = next(c for c in range(k) if bad[c].any())
-        raise ValueError(f"{kinds[kind]} {forms[kind][bad[kind]][0]} is negative beyond round-off")
-    forms = np.where(forms < 0.0, 0.0, forms).reshape(k, b, -1)
-    return [QuadraticForm(f[:, :n], f[:, n : n + p], f[:, n + p : -1], f[:, -1]) for f in forms]
+        raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
+    forms = np.where(forms < 0.0, 0.0, forms)
+    return QuadraticForm(forms[:, :n], forms[:, n : n + p], forms[:, n + p : -1], forms[:, -1])
 
 
 class InstanceData:
@@ -395,14 +394,15 @@ class InstanceData:
         cov = second - means[:, :, None] * means[:, None, :]
         # sqrt(rho) = rho for a pure state, so K = C there, clamped against
         # the same scale; the commutator Gram runs over the mixed states only
-        corr, scale = np.array([cov, cov]), np.array([second, second])
+        skew_corr, skew_scale = cov.copy(), second.copy()
         mixed = [k for k, s in enumerate(states) if not isinstance(s, PureState)]
         if mixed:
             root = np.array([states[k].sqrt().mat for k in mixed])[:, None]
             am = a[mixed]
             comm = (root @ am - am @ root).reshape(len(mixed), n, -1).view(np.float64)
-            corr[1, mixed] = scale[1, mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
-        self.variance, self.skew = _quadratic_forms(corr, scale, ("variance", "skew information"))
+            skew_corr[mixed] = skew_scale[mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
+        self.variance = _quadratic_forms(cov, second, "variance")
+        self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -427,16 +427,10 @@ def _root_sum_sq(values: np.ndarray) -> np.ndarray:
 
 # the formulas: each maps its entry's form or the instance data to (values,
 # details), values with one entry per instance and details a list, or None
-# the scan's tuples recur across instances (a sweep's points mostly share
-# a few), and a PermutationTuple is immutable, so a recurring one is built
-# and validated once
-_permutation_tuple = functools.lru_cache(maxsize=256)(PermutationTuple)
-
-
 def _theorem1(q: InstanceData):
     """The permutation scan's maximum and its maximizing tuple."""
     best, perms = _kernels.theorem1_scan(q.amplitudes)
-    return best, [_permutation_tuple(p) for p in perms]
+    return best, [PermutationTuple(p) for p in perms]
 
 
 def _song(f: QuadraticForm):
@@ -557,10 +551,9 @@ class BoundTable(NamedTuple):
 
     * ``names``: each column's bound;
     * ``applicable``: whether each column's bound applies at the batch's N;
-    * ``values``, ``targets``: (B, E), NaN where the bound does not apply;
-      a target is the variance or skew sum by family, or the product a
-      product bound carries in its detail;
-    * ``violated``: (B, E) bool, ``values > targets + tolerance * max(1, targets)``;
+    * ``values``: (B, E), NaN where the bound does not apply;
+    * ``violated``: (B, E) bool, ``value > target + tolerance * max(1, target)``
+      with each value's target as :meth:`BoundReport.target_for` gives it;
     * ``tightest``: family -> (B,) column index of the largest applicable
       value, the first of equal ones, for each family with an applicable
       column;
@@ -574,7 +567,6 @@ class BoundTable(NamedTuple):
     names: tuple
     applicable: tuple
     values: np.ndarray
-    targets: np.ndarray
     violated: np.ndarray
     tightest: dict
     variance_sums: np.ndarray
@@ -607,17 +599,12 @@ class BoundTable(NamedTuple):
                     shared or BoundValue(name, row[e], detail[k])
                     for e, name, detail, shared in columns
                 ),
-                violations=tuple(name for name, v in zip(self.names, violated) if v),
+                violations=self.violations(k),
                 tightest_variance=picks.get("variance", no_pick)[k],
                 tightest_skew=picks.get("skew", no_pick)[k],
             )
-            for k, (variance_sum, skew_sum, row, violated) in enumerate(
-                zip(
-                    self.variance_sums.tolist(),
-                    self.skew_sums.tolist(),
-                    self.values.tolist(),
-                    self.violated.tolist(),
-                )
+            for k, (variance_sum, skew_sum, row) in enumerate(
+                zip(self.variance_sums.tolist(), self.skew_sums.tolist(), self.values.tolist())
             )
         ]
 
@@ -673,15 +660,12 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> B
             data._build(states, sets)
             variance_sums = data.variance.diag.sum(axis=1)
             skew_sums = data.skew.diag.sum(axis=1)
-        sums = {"variance": variance_sums, "skew": skew_sums}
         for entry in entries:
             applies = bool(states) and entry.min_n <= n <= entry.max_n
             value, detail, target = nan, None, nan
             if applies:
                 value, detail = entry.formula(getattr(data, entry.form) if entry.form else data)
-                target = sums.get(entry.family)
-                if target is None:  # a product bound carries its target
-                    target = np.array([d["delta_product"] for d in detail])
+                target = _target(entry.family, variance_sums, skew_sums, detail)
             for family, mask in members.items():
                 mask.append(applies and entry.family == family)
             names.append(entry.name)
@@ -697,7 +681,7 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> B
     masks = np.array(list(ranked.values()), dtype=bool).reshape(len(ranked), len(entries), 1)
     picks = np.where(masks, values, -np.inf).argmax(axis=1)
     return BoundTable(
-        tuple(names), tuple(applicable), values.T, targets.T, violated.T,
+        tuple(names), tuple(applicable), values.T, violated.T,
         dict(zip(ranked, picks)), rows[0], rows[1], tuple(details),
     )
 

@@ -696,19 +696,6 @@ def test_matches_pairwise_formulas(make_instance, dim, n):
             assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
-def test_a_negative_form_names_the_first_kind_that_has_one():
-    # the variance and skew forms are built in one call, variance first
-    good = np.eye(2)[None].repeat(3, axis=0)
-    bad = good.copy()
-    bad[1] = -np.eye(2)
-    scale = np.array([good, good])
-    kinds = ("variance", "skew information")
-    with pytest.raises(ValueError, match="^skew information -1.0 is negative beyond"):
-        bounds._quadratic_forms(np.array([good, bad]), scale, kinds)
-    with pytest.raises(ValueError, match="^variance -1.0 is negative beyond"):
-        bounds._quadratic_forms(np.array([bad, bad]), scale, kinds)
-
-
 def test_public_api_surface():
     for name in skewsum.__all__:
         assert hasattr(skewsum, name), name
