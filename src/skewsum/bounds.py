@@ -653,7 +653,7 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> B
     variance_sums = skew_sums = nan
     # the table is built column-major, (E, B), and transposed on return
     names, applicable, values, targets, details = [], [], [], [], []
-    members = {"variance": [], "skew": []}  # family -> whether each column is one of its bounds
+    members = {"variance": [], "skew": []}  # family -> the applicable columns of its bounds
     with np.errstate(over="ignore", invalid="ignore"):
         if states:
             data = InstanceData.__new__(InstanceData)
@@ -666,8 +666,7 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> B
             if applies:
                 value, detail = entry.formula(getattr(data, entry.form) if entry.form else data)
                 target = _target(entry.family, variance_sums, skew_sums, detail)
-            for family, mask in members.items():
-                mask.append(applies and entry.family == family)
+                members.get(entry.family, []).append(len(names))
             names.append(entry.name)
             applicable.append(applies)
             values.append(value)
@@ -677,12 +676,11 @@ def _evaluate(instances, entries, budget=None, tolerance=DEFAULT_TOLERANCE) -> B
         _check_finite(rows, names, applicable)
         values, targets = rows[2:], np.array(targets)
         violated = values > targets + tolerance * np.maximum(1.0, targets)
-    ranked = {family: mask for family, mask in members.items() if any(mask)}
-    masks = np.array(list(ranked.values()), dtype=bool).reshape(len(ranked), len(entries), 1)
-    picks = np.where(masks, values, -np.inf).argmax(axis=1)
+    # every ranked value is finite, so argmax picks the first of equal maxima
+    tightest = {f: np.array(cols)[values[cols].argmax(axis=0)] for f, cols in members.items() if cols}
     return BoundTable(
         tuple(names), tuple(applicable), values.T, violated.T,
-        dict(zip(ranked, picks)), rows[0], rows[1], tuple(details),
+        tightest, rows[0], rows[1], tuple(details),
     )
 
 
