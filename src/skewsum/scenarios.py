@@ -132,7 +132,7 @@ SCENARIOS = {
 }
 DEFAULT_GRID_POINTS = 201
 # a sweep holds every point's state and table row in memory: about
-# 2.4-3.3 KB per point at its peak (tracemalloc, 20,000-point default sweeps)
+# 1.9-2.9 KB per point at its peak (tracemalloc, 20,000-point default sweeps)
 MAX_GRID_POINTS = 100_000
 
 
