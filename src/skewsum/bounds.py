@@ -3,7 +3,8 @@
 The catalog is one table, :data:`BOUNDS`: one entry per bound with its
 name, family, the observable counts it applies to, and a formula over
 :class:`InstanceData`, which holds a batch of instances along a leading
-axis, or over the ``variance`` or ``skew`` :class:`QuadraticForm` it names;
+axis, or over the :class:`QuadraticForm` it names: ``variance``, ``skew``
+or ``sorted_amplitudes``, so that one formula serves several entries;
 amplitude vectors are computed only when a formula reads them.
 ``evaluate_table`` evaluates every entry on a batch of instances that
 share one (d, N), flags numerical violations, and picks the tightest bound
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .linalg import HermitianMatrix
-from .measures import NEGATIVE_CLAMP
+from .measures import NEGATIVE_CLAMP, _amplitude_vectors
 from .states import DensityMatrix, PureState
 
 DEFAULT_BUDGET = 10**6
@@ -355,6 +356,19 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticFo
     return QuadraticForm(forms[:, :n], forms[:, n : n + p], forms[:, n + p : -1], forms[:, -1])
 
 
+def _vector_form(v: np.ndarray) -> QuadraticForm:
+    """The :class:`QuadraticForm` of a (B, N, k) stack of real vectors:
+    ||v_i||^2, ||v_i +- v_j||^2 over :func:`_pairs` and ||sum v||^2, never
+    negative. One einsum squares them all, each row summed over its own k."""
+    n = v.shape[1]
+    i, j = _pairs(n)
+    p = i.shape[0]
+    vi, vj = v[:, i], v[:, j]
+    rows = np.concatenate((v, vi + vj, vi - vj, v.sum(axis=1, keepdims=True)), axis=1)
+    sq = np.einsum("bpk,bpk->bp", rows, rows)
+    return QuadraticForm(sq[:, :n], sq[:, n : n + p], sq[:, n + p : -1], sq[:, -1])
+
+
 class InstanceData:
     """Everything the catalog needs from a batch of B (state, observables)
     pairs sharing one (d, N), computed once; every bound is a short formula
@@ -367,8 +381,8 @@ class InstanceData:
       K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>, clamped against K;
       for a :class:`PureState`, sqrt(rho) = rho and K = C, so its skew form is
       its variance form, bit for bit;
-    * ``amplitudes``: the (B, N, d) stack of amplitude vectors, computed on
-      first read.
+    * ``amplitudes``, the (B, N, d) amplitude vectors, and ``sorted_amplitudes``,
+      their :func:`_vector_form` sorted ascending, both computed on first read.
 
     ``InstanceData(rho, observables)`` is the batch of one. Each instance's
     numbers go through the operations they would go through alone, in the
@@ -385,7 +399,7 @@ class InstanceData:
         self.n = n
         rho = np.array([s.mat for s in states])
         a = np.array([[o.mat for o in obs] for obs in sets])
-        self._rho, self._a, self._sets = rho, a, sets
+        self._rho, self._sets = rho, sets
         ra = rho[:, None] @ a
         means = np.trace(ra, axis1=2, axis2=3).real
         # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
@@ -406,17 +420,11 @@ class InstanceData:
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        """The amplitude vectors of :func:`measures.amplitude_vector`; one
-        mean einsum per observable, since a single einsum over all N of them
-        sums <A_k> in another order."""
-        rho, a, n = self._rho, self._a, self.n
-        eigs = [[o.eigensystem for o in obs] for obs in self._sets]
-        values = np.array([[e.values for e in row] for row in eigs])
-        vectors = np.array([[e.vectors for e in row] for row in eigs])
-        mean = np.stack([np.einsum("bij,bji->b", rho, a[:, k]) for k in range(n)], axis=1).real
-        probs = np.einsum("bnik,bij,bnjk->bnk", vectors.conj(), rho, vectors).real
-        probs = np.clip(probs, 0.0, None)
-        return np.abs(values - mean[:, :, None]) * np.sqrt(probs)
+        return _amplitude_vectors(self._rho, self._sets)
+
+    @functools.cached_property
+    def sorted_amplitudes(self) -> QuadraticForm:
+        return _vector_form(np.sort(self.amplitudes, axis=2))
 
 
 def _root_sum_sq(values: np.ndarray) -> np.ndarray:
@@ -441,30 +449,18 @@ def _song(f: QuadraticForm):
     return val, None
 
 
-def _chen_variance(q: InstanceData):
-    """Variance bound built from ascending-sorted amplitude vectors.
-
-    With b_i the sorted amplitude vector of A_i and the step h = 1 at N = 2,
-    0 otherwise:
-
-        (1 / (2^h N - 2)) * ( sum_{i<j} ||b_i + b_j||^2
-                              + ((h - 1) / (N - 1)^2) * (sum_{i<j} ||b_i + b_j||)^2 )
-    """
-    n = q.n
-    b = np.sort(q.amplitudes, axis=2)
-    i, j = _pairs(n)
-    s = b[:, i] + b[:, j]
-    sq_norms = np.einsum("bpk,bpk->bp", s, s)
-    h = 1.0 if n == 2 else 0.0
-    pref = 1.0 / (2.0**h * n - 2.0)
-    coef = (h - 1.0) / (n - 1.0) ** 2
-    val = pref * (sq_norms.sum(axis=1) + coef * _root_sum_sq(sq_norms))
+def _chen(f: QuadraticForm):
+    """Bound (1 / (N - 2)) * ( sum_{i<j} q(A_i + A_j)
+    - (1 / (N - 1)^2) * (sum_{i<j} sqrt(q(A_i + A_j)))^2 ) over a form q, and
+    the parallelogram sum at N = 2: ``chen_variance`` over the form of the
+    ascending-sorted amplitude vectors b_i, q(A_i + A_j) = ||b_i + b_j||^2,
+    and ``chen_skew`` over the skew form, three observables up."""
+    n = f.n
+    if n == 2:
+        return _parallelogram_sum(f)
+    # chen_variance's bits; "- R / (N - 1)^2" rounds otherwise at N = 4
+    val = 1.0 / (n - 2.0) * (f.plus.sum(axis=1) + -1.0 / (n - 1.0) ** 2 * _root_sum_sq(f.plus))
     return val, None
-
-
-def _mp_quadratic(f: QuadraticForm):
-    """Two-observable quadratic bound (1/2) (Delta(A + B))^2."""
-    return 0.5 * f.plus[:, 0], None
 
 
 def _robertson(q: InstanceData):
@@ -496,16 +492,10 @@ def _theorem2b(f: QuadraticForm):
     return val, None
 
 
-def _chen_skew(f: QuadraticForm):
-    """Skew bound (1 / (N - 2)) * ( sum_{i<j} I(A_i + A_j)
-    - (1 / (N - 1)^2) * (sum_{i<j} sqrt(I(A_i + A_j)))^2 ), three observables up."""
-    n = f.n
-    val = (f.plus.sum(axis=1) - _root_sum_sq(f.plus) / (n - 1.0) ** 2) / (n - 2.0)
-    return val, None
-
-
 def _parallelogram_sum(f: QuadraticForm):
-    """Skew bound (1 / (2N - 2)) * sum_{i<j} I(A_i + A_j)."""
+    """Bound (1 / (2N - 2)) * sum_{i<j} q(A_i + A_j) over a form q:
+    ``parallelogram_sum`` on the skew sum, ``mp_quadratic``, (1/2) (Delta(A + B))^2,
+    on the variance sum at N = 2, and ``chen_variance`` at N = 2."""
     return f.plus.sum(axis=1) / (2.0 * f.n - 2.0), None
 
 
@@ -517,8 +507,8 @@ def _parallelogram_diff(f: QuadraticForm):
 @dataclass(frozen=True)
 class Bound:
     """One catalog entry: the bound's name and family, the observable counts
-    ``min_n <= N <= max_n`` it applies to, its formula, and the form it
-    reads, ``"variance"`` or ``"skew"``, or None for the instance data."""
+    ``min_n <= N <= max_n`` it applies to, its formula, and the name of the
+    :class:`InstanceData` form it reads, or None for the instance data."""
 
     name: str
     family: str
@@ -531,13 +521,13 @@ class Bound:
 BOUNDS = (
     Bound("theorem1", "variance", _theorem1),
     Bound("song", "variance", _song, "variance"),
-    Bound("chen_variance", "variance", _chen_variance),
-    Bound("mp_quadratic", "variance", _mp_quadratic, "variance", max_n=2),
+    Bound("chen_variance", "variance", _chen, "sorted_amplitudes"),
+    Bound("mp_quadratic", "variance", _parallelogram_sum, "variance", max_n=2),
     Bound("robertson", "product", _robertson, max_n=2),
     Bound("theorem2a", "skew", _theorem2a, "skew"),
     Bound("theorem2b", "skew", _theorem2b, "skew"),
     Bound("zhang", "skew", _song, "skew"),
-    Bound("chen_skew", "skew", _chen_skew, "skew", min_n=3),
+    Bound("chen_skew", "skew", _chen, "skew", min_n=3),
     Bound("parallelogram_sum", "skew", _parallelogram_sum, "skew"),
     Bound("parallelogram_diff", "skew", _parallelogram_diff, "skew"),
 )

@@ -59,16 +59,26 @@ def skew_information(rho, obs) -> float:
     return 0.5 * float(np.sum(comm.real**2 + comm.imag**2))
 
 
+def _amplitude_vectors(rho: np.ndarray, sets) -> np.ndarray:
+    """The (B, N, d) :func:`amplitude_vector` stack of B (d, d) states and B
+    rows of N validated observables; one mean einsum per observable, since a
+    single einsum over all N of them sums <A_i> in another order."""
+    a = np.array([[o.mat for o in obs] for obs in sets])
+    eigs = [[o.eigensystem for o in obs] for obs in sets]
+    values = np.array([[e.values for e in row] for row in eigs])
+    vectors = np.array([[e.vectors for e in row] for row in eigs])
+    mean = np.stack([np.einsum("bij,bji->b", rho, a[:, k]) for k in range(a.shape[1])], 1).real
+    # probabilities of the observables' eigenvectors in the state
+    probs = np.einsum("bnik,bij,bnjk->bnk", vectors.conj(), rho, vectors).real
+    probs = np.clip(probs, 0.0, None)
+    return np.abs(values - mean[:, :, None]) * np.sqrt(probs)
+
+
 def amplitude_vector(rho, obs) -> np.ndarray:
     """Nonnegative vector a with ||a||^2 = variance of the observable.
 
     Component k is |u_k - <A>| sqrt(<u_k|rho|u_k>) over the eigenpairs
-    (u_k, |u_k>) of the observable.
+    (u_k, |u_k>) of the observable: the batch of one of what reports read.
     """
     state, obs = _state_and_obs(rho, obs)
-    eig = obs.eigensystem
-    mean = float(np.einsum("ij,ji->", state.mat, obs.mat).real)
-    # probabilities of the observable's eigenvectors in the state
-    probs = np.einsum("ik,ij,jk->k", eig.vectors.conj(), state.mat, eig.vectors).real
-    probs = np.clip(probs, 0.0, None)
-    return np.abs(eig.values - mean) * np.sqrt(probs)
+    return _amplitude_vectors(state.mat[None], [[obs]])[0, 0]

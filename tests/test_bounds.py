@@ -34,6 +34,7 @@ from skewsum.bounds import (
 )
 from skewsum.linalg import HermitianMatrix, NotHermitianError, sqrt_psd
 from skewsum.measures import amplitude_vector, expectation, skew_information, variance
+from skewsum.rng import SplitMix64
 from skewsum.scenarios import example1_instance, example2_instance, example3_instance
 from skewsum.states import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_state, random_mixed, random_pure
 
@@ -79,10 +80,20 @@ class TestPermutationTuple:
             PermutationTuple(())
 
 
+def _reference_amplitudes(state, a) -> np.ndarray:
+    """Amplitude vector from LAPACK's eigh, independent of the package's
+    eigensolver and of the amplitude-vector code the reports read."""
+    a = np.array(a)
+    w, u = np.linalg.eigh(a)
+    mean = np.trace(state.mat @ a).real
+    probs = np.einsum("ik,ij,jk->k", u.conj(), state.mat, u).real
+    return np.abs(w - mean) * np.sqrt(np.clip(probs, 0.0, None))
+
+
 def _brute_force_theorem1(state, obs):
     """Independent exhaustive reference for the permutation-maximized bound."""
     n, d = obs.n, obs.dim
-    avs = [amplitude_vector(state, a) for a in obs]
+    avs = [_reference_amplitudes(state, a) for a in obs]
     perms = list(itertools.permutations(range(d)))
     c1 = 1.0 / (2.0 * n - 2.0)
     c2 = 2.0 / (n * (n - 1.0))
@@ -172,8 +183,8 @@ class TestVarianceBounds:
     def test_chen_variance_two_observable_form(self, make_instance):
         # at N = 2 the coefficient collapses to half the squared sum norm
         state, obs = make_instance(3, 2, 5)
-        b1 = np.sort(amplitude_vector(state, obs[0]))
-        b2 = np.sort(amplitude_vector(state, obs[1]))
+        b1 = np.sort(_reference_amplitudes(state, obs[0]))
+        b2 = np.sort(_reference_amplitudes(state, obs[1]))
         expect = 0.5 * float((b1 + b2) @ (b1 + b2))
         assert bound_chen_variance(state, obs).value == pytest.approx(expect, abs=1e-12)
 
@@ -646,7 +657,7 @@ def _pairwise_reference(state, obs):
     skew_plus = [skew_information(state, mats[i] + mats[j]) for i, j in pairs]
     skew_minus = [skew_information(state, mats[i] - mats[j]) for i, j in pairs]
     c = 2.0 / (n * (n - 1.0))
-    amps = np.stack([amplitude_vector(state, m) for m in mats])
+    amps = np.stack([_reference_amplitudes(state, m) for m in mats])
     sorted_amps = np.sort(amps, axis=1)
     chen_norms = [float(np.sum((sorted_amps[i] + sorted_amps[j]) ** 2)) for i, j in pairs]
     h = 1.0 if n == 2 else 0.0
@@ -694,6 +705,92 @@ def test_matches_pairwise_formulas(make_instance, dim, n):
         assert got.keys() == ref.keys()
         for key, value in ref.items():
             assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+class TestSharedFormulas:
+    """Rows that share a formula keep the bits of the private copies they
+    replaced: ``_chen`` in the arithmetic order of the old variance-only
+    copy, ``mp_quadratic`` as the parallelogram sum at N = 2."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_merged_rows_keep_their_bits(self, dim, n):
+        from skewsum.cli import fuzz_instance
+
+        i, j = bounds._pairs(n)
+        kinds = set()
+        for trial in range(60):
+            state, obs, kind = fuzz_instance(20260814, dim, n, trial)
+            kinds.add(kind)
+            data = InstanceData(state, obs)
+            report = evaluate_all(state, obs)
+            # the old chen_variance: sorted amplitude vectors and a step h
+            b = np.sort(data.amplitudes, axis=2)
+            s = b[:, i] + b[:, j]
+            sq_norms = np.einsum("bpk,bpk->bp", s, s)
+            root = np.sqrt(sq_norms).sum(axis=-1)
+            h = 1.0 if n == 2 else 0.0
+            pref = 1.0 / (2.0**h * n - 2.0)
+            coef = (h - 1.0) / (n - 1.0) ** 2
+            chen_variance = pref * (sq_norms.sum(axis=1) + coef * (root * root))
+            assert report.value("chen_variance").hex() == chen_variance.item().hex()
+            if n == 2:
+                mp_quadratic = 0.5 * data.variance.plus[:, 0]
+                assert report.value("mp_quadratic").hex() == mp_quadratic.item().hex()
+                continue
+            # the old chen_skew
+            plus = data.skew.plus
+            root = np.sqrt(plus).sum(axis=-1)
+            chen_skew = ((plus.sum(axis=1) - root * root / (n - 1.0) ** 2) / (n - 2.0)).item()
+            if n == 3:
+                assert report.value("chen_skew").hex() == chen_skew.hex()
+            else:
+                assert abs(report.value("chen_skew") - chen_skew) <= 1e-15 * abs(chen_skew)
+        assert kinds == {"pure", "mixed"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vector_form_fields(self, n):
+        v = SplitMix64(700 + n).normals((5, n, 3))
+        form = bounds._vector_form(v)
+        pairs = list(itertools.combinations(range(n), 2))
+
+        def sq(x):
+            return np.sum(x * x, axis=-1)
+
+        np.testing.assert_allclose(form.diag, sq(v), rtol=1e-14)
+        np.testing.assert_allclose(
+            form.plus, np.stack([sq(v[:, a] + v[:, c]) for a, c in pairs], axis=1), rtol=1e-14
+        )
+        np.testing.assert_allclose(
+            form.minus, np.stack([sq(v[:, a] - v[:, c]) for a, c in pairs], axis=1), rtol=1e-14
+        )
+        np.testing.assert_allclose(form.total, sq(v.sum(axis=1)), rtol=1e-14)
+        assert form.n == n
+        for field in form:
+            assert np.all(field >= 0.0)
+        i, j = bounds._pairs(n)
+        np.testing.assert_allclose(
+            form.plus + form.minus, 2.0 * (form.diag[:, i] + form.diag[:, j]), rtol=1e-14
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_amplitude_vector_is_what_reports_read(self, make_instance, dim, n):
+        for trial in range(4):
+            state, obs = make_instance(dim, n, 1300 + trial)
+            amps = InstanceData(state, obs).amplitudes[0]
+            for a, row in zip(obs, amps):
+                assert amplitude_vector(state, a).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sorted_amplitude_norms_are_the_variances(self, make_instance, dim, n):
+        # ||a_i||^2 = Var A_i, and sorting keeps the norm
+        for trial in range(10):
+            data = InstanceData(*make_instance(dim, n, 1200 + trial))
+            np.testing.assert_allclose(
+                data.sorted_amplitudes.diag, data.variance.diag, rtol=1e-12, atol=0.0
+            )
 
 
 def test_public_api_surface():
