@@ -5,9 +5,10 @@ Times the Jacobi eigensolver on batches of random Hermitian matrices, both
 the raw kernel and ``linalg.hermitian_eig`` around it (tolerance, sort and
 phase fix included), and the whole Theorem-1 permutation scan, Gram blocks
 included, on random amplitude-vector stacks, then prints a table with the
-per-call cost of each, and the per-instance cost of one scan over a
-51-instance batch. Run from the repository root (``PYTHONPATH=src`` is not
-needed once the package is installed):
+per-call cost of each, the wrapper's own cost (its row minus the kernel's)
+and the per-instance cost of one scan over a 51-instance batch. Run from
+the repository root (``PYTHONPATH=src`` is not needed once the package is
+installed):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
 """
@@ -78,13 +79,15 @@ def main():
     gen = SplitMix64(20260814)
     print(f"{'workload':<30} {'time (us)':>12}")
     mats = {dim: [random_hermitian(dim, gen) for _ in range(200)] for dim in (2, 3, 4, 6, 10)}
+    kernel = {}
     for dim, batch in mats.items():
-        t = bench_jacobi(batch, args.repeat)
-        print(f"{f'jacobi d={dim} (per solve)':<30} {t * 1e6:>12.1f}")
-    # the same matrices through the wrapper, to show its own cost
+        kernel[dim] = bench_jacobi(batch, args.repeat)
+        print(f"{f'jacobi d={dim} (per solve)':<30} {kernel[dim] * 1e6:>12.1f}")
+    # the same matrices through the wrapper; its own cost is the difference
     for dim in (2, 3, 4):
         t = bench_hermitian_eig(mats[dim], args.repeat)
         print(f"{f'hermitian_eig d={dim} (per solve)':<30} {t * 1e6:>12.1f}")
+        print(f"{f'  wrapper own cost d={dim}':<30} {(t - kernel[dim]) * 1e6:>12.1f}")
     for dim, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
         t = bench_scan(dim, n, 1, args.repeat, gen)
         print(f"{f'scan d={dim} N={n} (per scan)':<30} {t * 1e6:>12.1f}")

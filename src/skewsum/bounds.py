@@ -379,8 +379,8 @@ class InstanceData:
       C_ij = Re tr(rho A_i A_j) - <A_i><A_j>, clamped against Re tr(rho A_i A_j);
     * ``skew``: that of the Wigner-Yanase correlation matrices
       K_ij = (1/2) Re <[sqrt(rho), A_i], [sqrt(rho), A_j]>, clamped against K;
-      for a :class:`PureState`, sqrt(rho) = rho and K = C, so its skew form is
-      its variance form, bit for bit;
+      for a :class:`PureState`, sqrt(rho) = rho and K = C, so an all-pure
+      batch's skew form is its variance form, the same object;
     * ``amplitudes``, the (B, N, d) amplitude vectors, and ``sorted_amplitudes``,
       their :func:`_vector_form` sorted ascending, both computed on first read.
 
@@ -399,28 +399,28 @@ class InstanceData:
         self.n = n
         rho = np.array([s.mat for s in states])
         a = np.array([[o.mat for o in obs] for obs in sets])
-        self._rho, self._sets = rho, sets
+        self._rho, self._a, self._sets = rho, a, sets
         ra = rho[:, None] @ a
         means = np.trace(ra, axis1=2, axis2=3).real
         # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
         self.moments = ra.reshape(b, n, -1) @ a.reshape(b, n, -1).conj().transpose(0, 2, 1)
         second = self.moments.real
         cov = second - means[:, :, None] * means[:, None, :]
-        # sqrt(rho) = rho for a pure state, so K = C there, clamped against
-        # the same scale; the commutator Gram runs over the mixed states only
-        skew_corr, skew_scale = cov.copy(), second.copy()
+        # sqrt(rho) = rho for a pure state, so K = C there: an all-pure batch
+        # has one form, and the commutator Gram runs over the mixed states only
+        self.variance = self.skew = _quadratic_forms(cov, second, "variance")
         mixed = [k for k, s in enumerate(states) if not isinstance(s, PureState)]
         if mixed:
+            skew_corr, skew_scale = cov.copy(), second.copy()
             root = np.array([states[k].sqrt().mat for k in mixed])[:, None]
             am = a[mixed]
             comm = (root @ am - am @ root).reshape(len(mixed), n, -1).view(np.float64)
             skew_corr[mixed] = skew_scale[mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
-        self.variance = _quadratic_forms(cov, second, "variance")
-        self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
+            self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        return _amplitude_vectors(self._rho, self._sets)
+        return _amplitude_vectors(self._rho, self._a, self._sets)
 
     @functools.cached_property
     def sorted_amplitudes(self) -> QuadraticForm:

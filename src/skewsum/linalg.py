@@ -178,9 +178,11 @@ def rescaled_norm(a: np.ndarray) -> tuple[float, int]:
 def hermitian_eig(matrix) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix via cyclic Jacobi.
 
-    Eigenvalues come back ascending (stable order among exact ties) and each
-    eigenvector's first component of magnitude above 1e-8 is made real and
-    positive, which pins the phase deterministically.
+    Eigenvalues come back ascending (stable order among exact ties). Each
+    eigenvector is multiplied by |lead| / lead, lead its first component of
+    magnitude above 1e-8 (a unit vector has one), to pin its phase; |lead|
+    is Python's complex abs, libm hypot as numpy's scalar abs is, since
+    numpy's array abs rounds otherwise on many inputs.
 
     A matrix whose Frobenius norm overflows, or underflows below 2**-500,
     would get a meaningless convergence tolerance; it is solved scaled by a
@@ -202,13 +204,9 @@ def hermitian_eig(matrix) -> EigenSystem:
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = np.array(v[:, order], order="C")
-    for k in range(d):
-        col = vectors[:, k]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        lead = col[idx[0]] if idx.size else 1.0
-        mag = abs(lead)
-        if mag > 0.0:
-            vectors[:, k] = col * (mag / lead)
+    if d:  # argmax has no empty case
+        lead = vectors[np.argmax(np.abs(vectors) > _PHASE_EPS, axis=0), np.arange(d)]
+        vectors *= np.array([abs(z) for z in lead.tolist()]) / lead
     return EigenSystem(values=values, vectors=vectors)
 
 

@@ -59,11 +59,11 @@ def skew_information(rho, obs) -> float:
     return 0.5 * float(np.sum(comm.real**2 + comm.imag**2))
 
 
-def _amplitude_vectors(rho: np.ndarray, sets) -> np.ndarray:
-    """The (B, N, d) :func:`amplitude_vector` stack of B (d, d) states and B
-    rows of N validated observables; one mean einsum per observable, since a
-    single einsum over all N of them sums <A_i> in another order."""
-    a = np.array([[o.mat for o in obs] for obs in sets])
+def _amplitude_vectors(rho: np.ndarray, a: np.ndarray, sets) -> np.ndarray:
+    """The (B, N, d) :func:`amplitude_vector` stack of B (d, d) states, the
+    (B, N, d, d) stack ``a`` of their observables and ``sets``, the B rows
+    of validated observables whose eigensystems it reads; one mean einsum
+    per observable, since one over all N sums <A_i> in another order."""
     eigs = [[o.eigensystem for o in obs] for obs in sets]
     values = np.array([[e.values for e in row] for row in eigs])
     vectors = np.array([[e.vectors for e in row] for row in eigs])
@@ -81,4 +81,4 @@ def amplitude_vector(rho, obs) -> np.ndarray:
     (u_k, |u_k>) of the observable: the batch of one of what reports read.
     """
     state, obs = _state_and_obs(rho, obs)
-    return _amplitude_vectors(state.mat[None], [[obs]])[0, 0]
+    return _amplitude_vectors(state.mat[None], obs.mat[None, None], [[obs]])[0, 0]

@@ -916,3 +916,39 @@ class TestPureStates:
                     err = float(abs(getattr(report, key) - exact) / exact)
                     worst[key] = max(worst[key], err)
         assert max(worst.values()) <= 1e-15, worst
+
+
+def _batch_data(instances) -> InstanceData:
+    """The :class:`InstanceData` that ``evaluate_batch`` builds for ``instances``."""
+    data = InstanceData.__new__(InstanceData)
+    data._build(*bounds._coerce_batch(instances))
+    return data
+
+
+class TestFormSharing:
+    """An all-pure batch has one form for both families; in a mixed batch
+    only the mixed rows get their own skew numbers."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 2), (3, 3), (4, 4)])
+    def test_all_pure_batch_builds_one_form(self, make_instance, monkeypatch, dim, n):
+        calls = []
+        build = bounds._quadratic_forms
+        monkeypatch.setattr(bounds, "_quadratic_forms", lambda *a: calls.append(a) or build(*a))
+        # even fuzz trials draw pure states
+        data = _batch_data([make_instance(dim, n, 2 * t) for t in range(3)])
+        assert data.skew is data.variance
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim,n", [(2, 2), (3, 3), (4, 4)])
+    def test_only_the_mixed_row_has_its_own_skew(self, make_instance, dim, n):
+        # trials 0 and 2 draw pure states, trial 1 a mixed one
+        instances = [make_instance(dim, n, t) for t in range(3)]
+        data = _batch_data(instances)
+        alone = InstanceData(*instances[1])
+        assert alone.skew is not alone.variance
+        for name in data.skew._fields:
+            skew, var = getattr(data.skew, name), getattr(data.variance, name)
+            for k in (0, 2):
+                assert skew[k].tobytes() == var[k].tobytes(), name
+            assert skew[1].tobytes() == getattr(alone.skew, name)[0].tobytes(), name
+            assert skew[1].tobytes() != var[1].tobytes(), name

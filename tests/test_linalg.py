@@ -211,6 +211,82 @@ class TestHermitianEig:
             eig.vectors[0, 0] = 9.0
 
 
+def _per_column_eig(matrix):
+    """``hermitian_eig`` restated with the eigenbasis convention applied one
+    column at a time, as an oracle for the one-pass convention: each
+    column times |lead| / lead, lead its first component above 1e-8 and
+    |lead| numpy's scalar complex abs."""
+    a = np.array(HermitianMatrix.coerce(matrix).mat, order="C")
+    d = a.shape[0]
+    v = np.eye(d, dtype=np.complex128)
+    norm, exp = linalg.rescaled_norm(a)
+    tol = linalg.JACOBI_TOL_FACTOR * max(norm, np.finfo(np.float64).tiny)
+    _kernels.jacobi_sweeps(a, v, tol, linalg.JACOBI_MAX_SWEEPS)
+    values = np.ldexp(np.diagonal(a).real, exp)
+    order = np.argsort(values, kind="stable")
+    vectors = np.array(v[:, order], order="C")
+    for k in range(d):
+        col = vectors[:, k]
+        lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+        vectors[:, k] = col * (abs(lead) / lead)
+    return values[order], vectors
+
+
+class TestEigenbasisConventionBits:
+    """The one-pass eigenbasis convention keeps the bits of the per-column
+    one, on values and vectors alike."""
+
+    @staticmethod
+    def assert_same_bits(m):
+        eig = hermitian_eig(m)
+        values, vectors = _per_column_eig(m)
+        assert eig.values.tobytes() == values.tobytes()
+        assert eig.vectors.tobytes() == vectors.tobytes()
+        return eig
+
+    def test_seeded_matrices(self):
+        gen = SplitMix64(28)
+        for trial in range(2400):
+            self.assert_same_bits(_random_hermitian(1 + trial % 6, gen))
+
+    def test_empty_matrix(self):
+        assert self.assert_same_bits(np.zeros((0, 0))).vectors.shape == (0, 0)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_scaled_matrices(self, power):
+        gen = SplitMix64(29)
+        for trial in range(60):
+            m = _random_hermitian(1 + trial % 6, gen)
+            self.assert_same_bits(np.ldexp(m.real, power) + 1j * np.ldexp(m.imag, power))
+
+    @pytest.mark.parametrize(
+        "spectrum", [(2, 2, 1), (1, 1, 2), (0, 0, 0, 1), (3, 3, 3, 3), (-1, -1, 2, 2, 5)]
+    )
+    def test_ties_and_degenerate_spectra(self, spectrum):
+        self.assert_same_bits(np.diag(spectrum).astype(complex))
+        # the same spectrum in bases of seeded eigenvectors
+        gen = SplitMix64(30)
+        for _ in range(20):
+            u = hermitian_eig(_random_hermitian(len(spectrum), gen)).vectors
+            self.assert_same_bits((u * np.array(spectrum, dtype=float)) @ u.conj().T)
+
+    def test_leading_entries_below_the_phase_threshold(self):
+        # a block coupled to the first coordinate by 1e-12: that block's
+        # eigenvectors start with an entry far below 1e-8 but not zero
+        gen = SplitMix64(31)
+        small = 0
+        for trial in range(40):
+            dim = 3 + trial % 4
+            m = np.zeros((dim, dim), dtype=complex)
+            m[0, 0] = 10.0
+            m[1:, 1:] = _random_hermitian(dim - 1, gen)
+            m[0, 1:] = 1e-12 * gen.complex_normals(dim - 1)
+            m[1:, 0] = m[0, 1:].conj()
+            first = np.abs(self.assert_same_bits(m).vectors[0])
+            small += int(np.sum((first > 0.0) & (first < 1e-8)))
+        assert small > 0
+
+
 class TestSqrtPsd:
     def test_closed_form_bloch_x(self):
         rho = 0.5 * (IDENTITY_2 + (math.sqrt(3.0) / 2.0) * SIGMA_X)
