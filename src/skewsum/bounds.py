@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .linalg import HermitianMatrix
-from .measures import NEGATIVE_CLAMP, _amplitude_vectors
+from .measures import _amplitude_vectors, _clamp, _moments, _skew_gram
 from .states import DensityMatrix, PureState
 
 DEFAULT_BUDGET = 10**6
@@ -332,10 +332,10 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticFo
     """The :class:`QuadraticForm` of each (B, N, N) batch entry of correlation
     matrices: m_ii, m_ii + m_jj +- 2 m_ij and the sum of all entries.
 
-    Each form goes through the ``NEGATIVE_CLAMP`` rule of
-    :func:`measures.variance`: round-off below zero snaps to 0, anything
-    below ``NEGATIVE_CLAMP * max(1, s)`` raises, where s is the matching sum
-    of diagonal entries of ``scale`` (N times its trace for the total).
+    Each form goes through :func:`measures._clamp`: round-off below zero
+    snaps to 0, anything below ``NEGATIVE_CLAMP * max(1, s)`` raises, where
+    s is the matching sum of diagonal entries of ``scale`` (N times its
+    trace for the total).
     """
     b, n, _ = m.shape
     i, j = _pairs(n)
@@ -349,10 +349,7 @@ def _quadratic_forms(m: np.ndarray, scale: np.ndarray, what: str) -> QuadraticFo
     scale_total = n * scale_diag.sum(axis=1, keepdims=True)
     forms = np.concatenate((diag, pair_diag + cross, pair_diag - cross, total), axis=1)
     scales = np.concatenate((scale_diag, pair_scale, pair_scale, scale_total), axis=1)
-    bad = forms < NEGATIVE_CLAMP * np.maximum(1.0, np.abs(scales))
-    if bad.any():
-        raise ValueError(f"{what} {forms[bad][0]} is negative beyond round-off")
-    forms = np.where(forms < 0.0, 0.0, forms)
+    forms = _clamp(forms, scales, what)
     return QuadraticForm(forms[:, :n], forms[:, n : n + p], forms[:, n + p : -1], forms[:, -1])
 
 
@@ -395,27 +392,19 @@ class InstanceData:
     def _build(self, states, sets):
         """Fill in the arrays from states and observable sets that
         :func:`_coerce_batch` has validated."""
-        b, n = len(states), sets[0].n
-        self.n = n
+        self.n = sets[0].n
         rho = np.array([s.mat for s in states])
         a = np.array([[o.mat for o in obs] for obs in sets])
         self._rho, self._a, self._sets = rho, a, sets
-        ra = rho[:, None] @ a
-        means = np.trace(ra, axis1=2, axis2=3).real
-        # tr(rho A_i A_j) = sum_kl (rho A_i)_kl conj((A_j)_kl) for Hermitian A_j
-        self.moments = ra.reshape(b, n, -1) @ a.reshape(b, n, -1).conj().transpose(0, 2, 1)
-        second = self.moments.real
-        cov = second - means[:, :, None] * means[:, None, :]
+        _, self.moments, cov = _moments(rho, a)
         # sqrt(rho) = rho for a pure state, so K = C there: an all-pure batch
         # has one form, and the commutator Gram runs over the mixed states only
-        self.variance = self.skew = _quadratic_forms(cov, second, "variance")
+        self.variance = self.skew = _quadratic_forms(cov, self.moments.real, "variance")
         mixed = [k for k, s in enumerate(states) if not isinstance(s, PureState)]
         if mixed:
-            skew_corr, skew_scale = cov.copy(), second.copy()
-            root = np.array([states[k].sqrt().mat for k in mixed])[:, None]
-            am = a[mixed]
-            comm = (root @ am - am @ root).reshape(len(mixed), n, -1).view(np.float64)
-            skew_corr[mixed] = skew_scale[mixed] = 0.5 * (comm @ comm.transpose(0, 2, 1))
+            skew_corr, skew_scale = cov.copy(), self.moments.real.copy()
+            root = np.array([states[k].sqrt().mat for k in mixed])
+            skew_corr[mixed] = skew_scale[mixed] = _skew_gram(root, a[mixed])
             self.skew = _quadratic_forms(skew_corr, skew_scale, "skew information")
 
     @functools.cached_property

@@ -90,6 +90,28 @@ def _reference_amplitudes(state, a) -> np.ndarray:
     return np.abs(w - mean) * np.sqrt(np.clip(probs, 0.0, None))
 
 
+def _reference_variance(state, a) -> float:
+    """Variance tr(rho A^2) - tr(rho A)^2 from plain traces, independent of
+    the moments the reports and ``measures`` share."""
+    ra = state.mat @ np.array(a)
+    mean = np.trace(ra).real
+    return float(np.trace(ra @ np.array(a)).real - mean * mean)
+
+
+def _reference_skew(state, a) -> float:
+    """Skew information (1/2) ||[sqrt(rho), A]||_F^2 with sqrt(rho) from
+    LAPACK's eigh, independent of the package's square root and of the
+    commutator Gram the reports and ``measures`` share. Eigenvalues within
+    LAPACK's round-off of zero, a pure state's zeros, count as zero: their
+    square roots, about 1e-8, would swamp the comparison."""
+    w, u = np.linalg.eigh(state.mat)
+    w = np.where(w > len(w) * np.finfo(float).eps, w, 0.0)
+    root = (u * np.sqrt(w)) @ u.conj().T
+    a = np.array(a)
+    comm = root @ a - a @ root
+    return 0.5 * float(np.sum(np.abs(comm) ** 2))
+
+
 def _brute_force_theorem1(state, obs):
     """Independent exhaustive reference for the permutation-maximized bound."""
     n, d = obs.n, obs.dim
@@ -132,7 +154,7 @@ class TestTheorem1:
         for trial in range(30):
             dim = 2 + trial % 3
             state, obs = make_instance(dim, 2, 100 + trial)
-            varsum = sum(variance(state, a) for a in obs)
+            varsum = sum(_reference_variance(state, a) for a in obs)
             assert bound_theorem1(state, obs).value == pytest.approx(
                 varsum, abs=1e-10
             )
@@ -163,7 +185,7 @@ class TestTheorem1:
     def test_never_exceeds_variance_sum(self, make_instance):
         for trial in range(15):
             state, obs = make_instance(3, 3, 200 + trial)
-            varsum = sum(variance(state, a) for a in obs)
+            varsum = sum(_reference_variance(state, a) for a in obs)
             assert bound_theorem1(state, obs).value <= varsum + 1e-9
 
 
@@ -197,9 +219,9 @@ class TestVarianceBounds:
         bv = bound_mp_quadratic(state, obs)
         assert bv.applicable
         assert bv.value == pytest.approx(
-            0.5 * variance(state, obs[0] + obs[1]), abs=1e-12
+            0.5 * _reference_variance(state, obs[0] + obs[1]), abs=1e-12
         )
-        varsum = variance(state, obs[0]) + variance(state, obs[1])
+        varsum = _reference_variance(state, obs[0]) + _reference_variance(state, obs[1])
         assert bv.value <= varsum + 1e-9
 
     def test_robertson_equality_case(self):
@@ -245,7 +267,7 @@ class TestSkewBounds:
         for trial in range(30):
             dim = 2 + trial % 3
             state, obs = make_instance(dim, 2, 400 + trial)
-            ssum = sum(skew_information(state, a) for a in obs)
+            ssum = sum(_reference_skew(state, a) for a in obs)
             assert bound_theorem2a(state, obs).value == pytest.approx(ssum, abs=1e-10)
             assert bound_theorem2b(state, obs).value == pytest.approx(ssum, abs=1e-10)
 
@@ -254,7 +276,7 @@ class TestSkewBounds:
             dim = 2 + trial % 3
             n = 2 + trial % 3
             state, obs = make_instance(dim, n, 500 + trial)
-            ssum = sum(skew_information(state, a) for a in obs)
+            ssum = sum(_reference_skew(state, a) for a in obs)
             total = (
                 bound_parallelogram_sum(state, obs).value
                 + bound_parallelogram_diff(state, obs).value
@@ -653,34 +675,36 @@ def _pairwise_reference(state, obs):
     mats = [np.array(a) for a in obs]
     n = len(mats)
     pairs = list(itertools.combinations(range(n), 2))
-    var_minus = [variance(state, mats[i] - mats[j]) for i, j in pairs]
-    skew_plus = [skew_information(state, mats[i] + mats[j]) for i, j in pairs]
-    skew_minus = [skew_information(state, mats[i] - mats[j]) for i, j in pairs]
+    var_minus = [_reference_variance(state, mats[i] - mats[j]) for i, j in pairs]
+    skew_plus = [_reference_skew(state, mats[i] + mats[j]) for i, j in pairs]
+    skew_minus = [_reference_skew(state, mats[i] - mats[j]) for i, j in pairs]
     c = 2.0 / (n * (n - 1.0))
     amps = np.stack([_reference_amplitudes(state, m) for m in mats])
     sorted_amps = np.sort(amps, axis=1)
     chen_norms = [float(np.sum((sorted_amps[i] + sorted_amps[j]) ** 2)) for i, j in pairs]
     h = 1.0 if n == 2 else 0.0
     ref = {
-        "variance_sum": sum(variance(state, m) for m in mats),
-        "skew_sum": sum(skew_information(state, m) for m in mats),
+        "variance_sum": sum(_reference_variance(state, m) for m in mats),
+        "skew_sum": sum(_reference_skew(state, m) for m in mats),
         "theorem1": _kernels.theorem1_scan(amps[None])[0][0],
-        "song": (variance(state, sum(mats)) + c * sum(map(math.sqrt, var_minus)) ** 2) / n,
+        "song": (
+            _reference_variance(state, sum(mats)) + c * sum(map(math.sqrt, var_minus)) ** 2
+        ) / n,
         "chen_variance": (
             sum(chen_norms) + (h - 1.0) / (n - 1.0) ** 2 * sum(map(math.sqrt, chen_norms)) ** 2
         ) / (2.0**h * n - 2.0),
         "theorem2a": (c * sum(map(math.sqrt, skew_plus)) ** 2 + sum(skew_minus)) / (2 * n - 2),
         "theorem2b": (c * sum(map(math.sqrt, skew_minus)) ** 2 + sum(skew_plus)) / (2 * n - 2),
-        "zhang": (skew_information(state, sum(mats)) + c * sum(map(math.sqrt, skew_minus)) ** 2) / n,
+        "zhang": (_reference_skew(state, sum(mats)) + c * sum(map(math.sqrt, skew_minus)) ** 2) / n,
         "parallelogram_sum": sum(skew_plus) / (2 * n - 2),
         "parallelogram_diff": sum(skew_minus) / (2 * n - 2),
     }
     if n == 2:
-        ref["mp_quadratic"] = 0.5 * variance(state, mats[0] + mats[1])
+        ref["mp_quadratic"] = 0.5 * _reference_variance(state, mats[0] + mats[1])
         comm = mats[0] @ mats[1] - mats[1] @ mats[0]
         ref["robertson"] = 0.5 * abs(complex(np.trace(state.mat @ comm)))
-        ref["delta_product"] = math.sqrt(variance(state, mats[0])) * math.sqrt(
-            variance(state, mats[1])
+        ref["delta_product"] = math.sqrt(_reference_variance(state, mats[0])) * math.sqrt(
+            _reference_variance(state, mats[1])
         )
     else:
         ref["chen_skew"] = (

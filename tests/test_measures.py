@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewsum import measures
 from skewsum.measures import amplitude_vector, expectation, skew_information, variance
 from skewsum.states import (
     IDENTITY_2,
@@ -107,6 +108,43 @@ class TestSkewInformation:
         assert skew_information(rho.mat, a) == pytest.approx(
             skew_information(rho, a), abs=1e-14
         )
+
+
+class TestOverflow:
+    """Entries whose float64 products overflow raise, as the reports do,
+    instead of returning nan or inf."""
+
+    @pytest.mark.parametrize(
+        "measure,dim,obs",
+        [
+            (variance, 2, np.diag([1.5e308, -1.5e308])),
+            (variance, 3, 1e160 * random_observable(3, seed=6).mat),
+            (skew_information, 3, 1e160 * random_observable(3, seed=6).mat),
+        ],
+        ids=["variance-diagonal", "variance-scaled", "skew_information-scaled"],
+    )
+    def test_raises_value_error(self, measure, dim, obs):
+        with pytest.raises(ValueError, match="float64 overflow"):
+            measure(random_mixed(dim, seed=5), obs)
+
+    def test_finite_expectation_of_an_overflowing_second_moment(self):
+        rho = random_mixed(3, seed=5)
+        a = 1e160 * random_observable(3, seed=6).mat
+        assert math.isfinite(expectation(rho, a))
+
+
+class TestClamp:
+    """The one round-off rule for forms that should be nonnegative."""
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, -1.0, 1e6, -1e6])
+    def test_edge(self, scale):
+        edge = measures.NEGATIVE_CLAMP * max(1.0, abs(scale))
+        forms = measures._clamp(np.array([edge, 2.0]), np.array([scale, scale]), "form")
+        assert forms.tolist() == [0.0, 2.0]
+        below = np.nextafter(edge, -math.inf)
+        with pytest.raises(ValueError) as err:
+            measures._clamp(np.array([below]), np.array([scale]), "variance")
+        assert str(err.value) == f"variance {below} is negative beyond round-off"
 
 
 class TestAmplitudeVector:
